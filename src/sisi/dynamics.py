@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from sisi.model import (
     LIMIT_TOL,
     ModelParams,
     SimplexPoint,
+    _CONDITIONS,
     _step,
     require_admissible,
     validate_params,
@@ -39,6 +39,11 @@ from sisi.fixpoints import (
     DegenerateRegime,
     FixedPoint,
     NoInteriorPoint,
+    _interior_coordinates,
+    _lambda10_coordinates,
+    _quadratic,
+    _roots,
+    bracketed_root,
     fixed_point_set,
     interior_fixed_point,
     interior_quadratic,
@@ -839,28 +844,19 @@ def _batch_limits(params: np.ndarray, states: np.ndarray, max_iter: int,
 
     live = np.arange(n)
     cur = states.copy()
-    b, al, b1, b2, k1, k2 = (params[:, i].copy() for i in range(6))
+    rates = [params[:, i].copy() for i in range(6)]
     tgt = targets.copy()
     done = 0
     CHUNK = 16
     while live.size and done < max_iter:
         span = min(CHUNK, max_iter - done)
-        x, u, y, v = cur[:, 0], cur[:, 1], cur[:, 2], cur[:, 3]
+        state = tuple(cur.T)
         for _ in range(span - 1):
-            A = k1 * u + k2 * v
-            x, u, y, v = (x + b - b * x - b1 * A * x,
-                          u - b * u + b1 * A * x - al * u,
-                          y - b * y + al * u - b2 * A * y,
-                          v - b * v + b2 * A * y)
-        px, pu, py, pv = x, u, y, v
-        A = k1 * u + k2 * v
-        x, u, y, v = (x + b - b * x - b1 * A * x,
-                      u - b * u + b1 * A * x - al * u,
-                      y - b * y + al * u - b2 * A * y,
-                      v - b * v + b2 * A * y)
+            state = _step(*state, *rates)
+        prev = np.stack(state, axis=1)
+        cur = np.stack(_step(*state, *rates), axis=1)
         done += span
-        cur = np.stack([x, u, y, v], axis=1)
-        step = np.max(np.abs(cur - np.stack([px, pu, py, pv], axis=1)), axis=1)
+        step = np.max(np.abs(cur - prev), axis=1)
         frozen = step <= tol_step
         with np.errstate(invalid="ignore"):
             dist = np.max(np.abs(cur - tgt), axis=1)
@@ -875,28 +871,9 @@ def _batch_limits(params: np.ndarray, states: np.ndarray, max_iter: int,
             keep = ~frozen
             live = live[keep]
             cur = cur[keep]
-            b, al, b1, b2, k1, k2 = b[keep], al[keep], b1[keep], b2[keep], k1[keep], k2[keep]
+            rates = [r[keep] for r in rates]
             tgt = tgt[keep]
     return final, iters, fstep
-
-
-def _positive_roots_vec(b, al, b1, b2, k1, k2):
-    """Vectorized positive root of the interior equilibrium quadratic."""
-    c2 = (b + al) * b1 * b2
-    c1 = (b + al) * b * (b1 + b2) - b1 * b2 * (b * k1 + al * k2)
-    c0 = b * b * (b + al - b1 * k1)
-    disc = c1 * c1 - 4.0 * c2 * c0
-    out = np.full(b.shape, np.nan)
-    ok = (disc >= 0.0) & (c2 > 0.0)
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    q = -0.5 * (c1 + np.sign(np.where(c1 == 0.0, 1.0, c1)) * sq)
-    r1 = np.divide(q, c2, out=np.full_like(q, np.nan), where=(c2 != 0.0))
-    r2 = np.divide(c0, q, out=np.full_like(q, np.nan), where=(q != 0.0))
-    big = np.fmax(r1, r2)
-    small = np.fmin(r1, r2)
-    pos = np.where(big > 0.0, big, np.where(small > 0.0, small, np.nan))
-    out[ok] = pos[ok]
-    return out
 
 
 def conjecture_scan(
@@ -928,11 +905,12 @@ def conjecture_scan(
     rng = np.random.default_rng(seed)
     inits = np.stack([_floored_point(rng).as_array() for _ in range(n_init)])
 
-    admissible = np.array([
-        ModelParams(*row).admissible for row in cells
-    ])
+    # validate_params on every cell: no rate < 0 and no inequality violated
+    b, al, b1, b2, k1, k2 = rates = cells.T
+    admissible = ~np.any(cells < 0.0, axis=1)
+    for _, value, bound in _CONDITIONS:
+        admissible &= ~(value(*rates) > bound)
 
-    b, al, b1, b2, k1, k2 = (cells[:, i] for i in range(6))
     bk = b1 * k1
     joint = b + al
     if conjecture == 1:
@@ -940,26 +918,18 @@ def conjecture_scan(
         claim_lam1 = premise & (bk <= joint)          # needs k2*v0 > 0: holds for interior inits
         claim_other = premise & (bk > joint)          # needs u0 + v0 > 0: holds
         other_label = "lambda_10"
-        excess = bk - joint
         with np.errstate(divide="ignore", invalid="ignore"):
-            other_target = np.stack([
-                joint / bk,
-                b * excess / (bk * joint),
-                al * excess / (bk * joint),
-                np.zeros_like(b),
-            ], axis=1)
+            other_target = np.stack([*_lambda10_coordinates(b, al, bk), np.zeros_like(b)],
+                                    axis=1)
     else:
         premise = admissible & (al * b * b1 * b2 * k1 * k2 > 0.0)
         claim_lam1 = premise & (bk <= joint) & (b * joint >= al * b2 * k2)
         claim_other = premise & (bk > joint)
         other_label = "lambda_11"
-        A = _positive_roots_vec(b, al, b1, b2, k1, k2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = b / (b + b1 * A)
-            u = b1 * A * x / joint
-            y = al * u / (b + b2 * A)
-            v = b2 * A * y / np.where(b == 0.0, np.nan, b)
-            other_target = np.stack([x, u, y, v], axis=1)
+            A = np.fmax(*_roots(*_quadratic(b, al, b1, b2, k1, k2)))
+            A = np.where(A > 0.0, A, np.nan)
+            other_target = np.stack(_interior_coordinates(b, al, b1, b2, A), axis=1)
 
     lam1 = np.tile(_LAMBDA1, (n_cells, 1))
     targets = np.full((n_cells, 4), np.nan)
@@ -1080,27 +1050,30 @@ def equilibrium_curves(p: ModelParams, x_max: float | None = None,
         if quad is not None and quad.positive_root is not None:
             x_max = max(x_max, 1.5 * quad.positive_root)
 
+    def linear(t):
+        return b + b1 * t
+
+    def saturating(t):
+        return (b * b1 * k1 / (b + al)
+                + al * b1 * b2 * k2 * t / ((b + b2 * t) * (b + al)))
+
     xs = np.linspace(0.0, x_max, n)
-    linear = b + b1 * xs
-    saturating = (b * b1 * k1 / (b + al)
-                  + al * b1 * b2 * k2 * xs / ((b + b2 * xs) * (b + al)))
-    diff = linear - saturating
-    flips = np.nonzero(np.sign(diff[1:-1]) * np.sign(diff[2:]) < 0)[0] + 1
-    crossings = []
-    for i in flips:
-        lo, hi = xs[i], xs[i + 1]
-        f = lambda t: (b + b1 * t) - (b * b1 * k1 / (b + al)
-                                      + al * b1 * b2 * k2 * t / ((b + b2 * t) * (b + al)))
-        crossings.append(float(brentq(f, lo, hi, xtol=1e-14)))
+    lin, sat = linear(xs), saturating(xs)
+    sign = np.sign(lin - sat)
+    # A > 0 only: an exact zero at xs[0] = 0 is the disease-free state
+    zeros = [float(xs[i]) for i in np.nonzero(sign[1:] == 0.0)[0] + 1]
+    flips = [bracketed_root(lambda t: linear(t) - saturating(t), float(xs[i]), float(xs[i + 1]))
+             for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]]
+    crossings = sorted(zeros + flips)
     return EquilibriumCurves(
         xs=xs,
-        linear=linear,
-        saturating=saturating,
-        value_at_zero=b * b1 * k1 / (b + al),
+        linear=lin,
+        saturating=sat,
+        value_at_zero=saturating(0.0),
         asymptote=b1 * (b * k1 + al * k2) / (b + al),
         slope_linear=b1,
         slope_saturating_at_zero=al * b1 * b2 * k2 / (b * (b + al)),
-        sign_changes=len(flips),
+        sign_changes=len(crossings),
         crossings=tuple(crossings),
         quadratic=quad,
     )

@@ -15,12 +15,10 @@ a quadratic in the equilibrium force of infection A; see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.optimize import brentq
 
 from sisi.model import (
     ModelParams,
@@ -40,6 +38,7 @@ __all__ = [
     "interior_fixed_point",
     "lambda9_point",
     "lambda10_point",
+    "bracketed_root",
     "fixed_point_set",
     "residual",
     "barycentric_grid",
@@ -84,18 +83,80 @@ class InteriorQuadratic:
     positive_root: float | None
 
 
-def _stable_quadratic_roots(c2: float, c1: float, c0: float) -> tuple[float, ...]:
-    # Citardauq-style evaluation: avoids cancellation when c1^2 >> |4*c2*c0|.
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return ()
-    if disc == 0.0:
-        return (-c1 / (2.0 * c2),)
-    sq = math.sqrt(disc)
-    q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else -0.5 * sq
-    r1 = q / c2
-    r2 = c0 / q
-    return tuple(sorted((r1, r2)))
+def _quadratic(b, al, b1, b2, k1, k2):
+    """(c2, c1, c0, disc) of the interior quadratic c2*A^2 + c1*A + c0.
+
+    Elementwise: takes floats or equal-shape arrays.
+    """
+    joint = b + al
+    c2 = joint * b1 * b2
+    c1 = joint * b * (b1 + b2) - b1 * b2 * (b * k1 + al * k2)
+    c0 = b * b * (joint - b1 * k1)
+    return c2, c1, c0, c1 * c1 - 4.0 * c2 * c0
+
+
+def _roots(c2, c1, c0, disc):
+    """The two roots (q/c2, c0/q) where c2 != 0 and disc > 0, elementwise.
+
+    Citardauq form, q = -(c1 + sign(c1)*sqrt(disc))/2 with sign(0) = +1,
+    which avoids cancellation when c1^2 >> |4*c2*c0|.  Array entries with
+    disc < 0 come out NaN.
+    """
+    q = -0.5 * (c1 + (2.0 * (c1 >= 0.0) - 1.0) * np.sqrt(disc))
+    return q / c2, c0 / q
+
+
+def _interior_coordinates(b, al, b1, b2, A):
+    """lambda_11 = (x, u, y, v) at equilibrium force of infection A, elementwise."""
+    x = b / (b + b1 * A)
+    u = b1 * A * x / (b + al)
+    y = al * u / (b + b2 * A)
+    v = b2 * A * y / b
+    return x, u, y, v
+
+
+def _lambda10_coordinates(b, al, bk):
+    """(x, u, y) of lambda_10 (v = 0) with bk = beta1*k1, elementwise."""
+    joint = b + al
+    excess = bk - joint
+    return joint / bk, b * excess / (bk * joint), al * excess / (bk * joint)
+
+
+def bracketed_root(f, lo: float, hi: float) -> float:
+    """A root of ``f`` in [lo, hi] (lo < hi) where f(lo), f(hi) differ in sign.
+
+    Illinois regula falsi: secant steps on the bracket, halving the stored
+    value of an end that is kept twice in a row, so both ends close in.  A
+    secant point outside the open bracket is replaced by the midpoint.
+    Stops on an exact zero or once the bracket is at most
+    1e-15 + 8.9e-16*|x| wide, which a bracket of adjacent floats always is.
+    Raises ValueError when f(lo) and f(hi) have the same strict sign.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    if (flo < 0.0) == (fhi < 0.0):
+        raise ValueError(f"f({lo!r}) = {flo!r} and f({hi!r}) = {fhi!r} "
+                         "do not bracket a sign change")
+    x, kept = 0.5 * (lo + hi), 0  # kept: +1 lo kept last step, -1 hi kept
+    while hi - lo > 1e-15 + 8.9e-16 * max(abs(lo), abs(hi)):
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+            if kept == -1:
+                fhi *= 0.5
+            kept = -1
+        else:
+            hi, fhi = x, fx
+            if kept == 1:
+                flo *= 0.5
+            kept = 1
+    return x
 
 
 def _balance_gap(p: ModelParams, A: float) -> float:
@@ -117,22 +178,23 @@ def interior_quadratic(p: ModelParams, cross_check: bool = True) -> InteriorQuad
     against a bracketing root-find on the uncleared balance equation to
     1e-12 whenever all six rates are positive.
     """
-    b, al, b1, b2, k1, k2 = p.as_tuple()
-    c2 = (b + al) * b1 * b2
+    c2, c1, c0, disc = _quadratic(*p.as_tuple())
     if c2 == 0.0:
         raise DegenerateRegime(
             "leading coefficient (b+alpha)*beta1*beta2 is zero; "
             "no interior equilibrium quadratic in this regime"
         )
-    c1 = (b + al) * b * (b1 + b2) - b1 * b2 * (b * k1 + al * k2)
-    c0 = b * b * (b + al - b1 * k1)
-    roots = _stable_quadratic_roots(c2, c1, c0)
+    if disc < 0.0:
+        roots = ()
+    elif disc == 0.0:
+        roots = (-c1 / (2.0 * c2),)
+    else:
+        roots = tuple(sorted(float(r) for r in _roots(c2, c1, c0, disc)))
     positive = max((r for r in roots if r > 0.0), default=None)
-    if cross_check and positive is not None and min(b, al, b1, b2, k1, k2) > 0.0:
+    if cross_check and positive is not None and min(p.as_tuple()) > 0.0:
         lo, hi = positive * 0.5, positive * 1.5 + 1e-12
         if _balance_gap(p, lo) * _balance_gap(p, hi) < 0.0:
-            refined = brentq(lambda A: _balance_gap(p, A), lo, hi,
-                             xtol=1e-15, rtol=8.9e-16)
+            refined = bracketed_root(lambda A: _balance_gap(p, A), lo, hi)
             if abs(refined - positive) > 1e-12 * max(1.0, abs(positive)):
                 raise ArithmeticError(
                     f"quadratic root {positive!r} disagrees with direct "
@@ -215,13 +277,7 @@ def lambda10_point(p: ModelParams) -> np.ndarray:
     bk = p.beta1 * p.k1
     if bk <= 0.0 or b + al <= 0.0:
         raise DegenerateRegime("lambda_10 needs beta1*k1 > 0 and b + alpha > 0")
-    excess = bk - b - al
-    return np.array([
-        (b + al) / bk,
-        b * excess / (bk * (b + al)),
-        al * excess / (bk * (b + al)),
-        0.0,
-    ])
+    return np.array([*_lambda10_coordinates(b, al, bk), 0.0])
 
 
 def interior_fixed_point(p: ModelParams, residual_tol: float = RESIDUAL_TOL) -> FixedPoint:
@@ -247,12 +303,8 @@ def interior_fixed_point(p: ModelParams, residual_tol: float = RESIDUAL_TOL) -> 
         raise NoInteriorPoint(
             "the equilibrium quadratic has no positive root for these rates"
         )
-    A = quad.positive_root
-    b, al, b1, b2, k1, k2 = p.as_tuple()
-    x = b / (b + b1 * A)
-    u = b1 * A * x / (b + al)
-    y = al * u / (b + b2 * A)
-    v = b2 * A * y / b
+    b, al, b1, b2, _, _ = p.as_tuple()
+    x, u, y, v = _interior_coordinates(b, al, b1, b2, quad.positive_root)
     point = np.array([x, u, y, v])
     res = residual(point, p)
     if res > residual_tol:

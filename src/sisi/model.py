@@ -38,7 +38,6 @@ __all__ = [
     "require_admissible",
     "force_of_infection",
     "apply_V",
-    "evolve_array",
     "iterate",
 ]
 
@@ -213,7 +212,11 @@ def force_of_infection(s: SimplexPoint, p: ModelParams) -> float:
 
 
 def _step(x, u, y, v, b, al, b1, b2, k1, k2):
-    """One application of the evolution operator on raw floats."""
+    """One application of the evolution operator, elementwise.
+
+    Takes floats or equal-shape numpy arrays (one entry per row of a batch);
+    both give the same bits for the same inputs.
+    """
     A = k1 * u + k2 * v
     return (
         x + b - b * x - b1 * A * x,
@@ -230,21 +233,6 @@ def apply_V(s: SimplexPoint, p: ModelParams) -> SimplexPoint:
     """
     require_admissible(p)
     return SimplexPoint(*_step(*s.as_tuple(), *p.as_tuple()))
-
-
-def evolve_array(states: np.ndarray, p: ModelParams, validate: bool = True) -> np.ndarray:
-    """Vectorized one-step map on an (..., 4) array of states."""
-    if validate:
-        require_admissible(p)
-    b, al, b1, b2, k1, k2 = p.as_tuple()
-    x, u, y, v = (states[..., i] for i in range(4))
-    A = k1 * u + k2 * v
-    out = np.empty_like(states)
-    out[..., 0] = x + b - b * x - b1 * A * x
-    out[..., 1] = u - b * u + b1 * A * x - al * u
-    out[..., 2] = y - b * y + al * u - b2 * A * y
-    out[..., 3] = v - b * v + b2 * A * y
-    return out
 
 
 @dataclass(frozen=True)

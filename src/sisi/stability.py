@@ -7,10 +7,12 @@ closed-form rule (see :func:`classify_lambda1`); every other point goes
 through the generic eigenvalue path, which the model's source analysis
 does not cover -- reports label it accordingly.
 
-The eigenvalue routine is self-contained: the characteristic quartic comes
-from the Faddeev-LeVerrier recursion and its roots from a Durand-Kerner
-iteration.  For an m-fold eigenvalue the root cluster carries the usual
-~eps^(1/m) accuracy; simple eigenvalues resolve to ~1e-14.
+Eigenvalues come from LAPACK, with every eigenpair checked by its residual.
+At the disease-free state LAPACK's balancing isolates the diagonal, so the
+generic path returns the closed-form spectrum exactly, triple eigenvalue
+1 - b included.  Elsewhere a multiple eigenvalue is still only accurate to
+about eps^(1/m) for multiplicity m, which is why the closed-form rule, not
+the eigenvalues, decides nonhyperbolicity at (1, 0, 0, 0).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "StabilityClass",
     "UNIT_CIRCLE_TOL",
     "jacobian",
-    "characteristic_polynomial",
     "eigenvalues",
     "classify",
     "classify_at",
@@ -43,7 +44,7 @@ LAMBDA1 = SimplexPoint(1.0, 0.0, 0.0, 0.0)
 
 
 class NonConvergence(RuntimeError):
-    """The root iteration failed to produce residual-verified eigenvalues."""
+    """The eigensolver failed to produce residual-verified eigenvalues."""
 
 
 def jacobian(s: SimplexPoint, p: ModelParams) -> np.ndarray:
@@ -59,91 +60,28 @@ def jacobian(s: SimplexPoint, p: ModelParams) -> np.ndarray:
     ])
 
 
-def characteristic_polynomial(J: np.ndarray) -> np.ndarray:
-    """Monic coefficients [1, c1, c2, c3, c4] of det(lambda*I - J).
+def eigenvalues(J: np.ndarray, residual_tol: float = 1e-8) -> np.ndarray:
+    """The four eigenvalues of a real 4x4 matrix, sorted by (real, imag).
 
-    Faddeev-LeVerrier recursion; exact in the number of operations for a
-    fixed 4x4 matrix.
+    LAPACK (``np.linalg.eig``) computes the eigenpairs.  Each pair is
+    accepted only if ||J v - mu v||_inf <= residual_tol * max(1, ||J||_inf)
+    * ||v||_inf; otherwise :class:`NonConvergence` is raised rather than
+    guessing.
     """
     J = np.asarray(J, dtype=float)
     if J.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {J.shape}")
     if not np.all(np.isfinite(J)):
         raise ValueError("matrix entries must be finite")
-    n = 4
-    eye = np.eye(n)
-    M = eye
-    coeffs = [1.0]
-    for k in range(1, n + 1):
-        JM = J @ M
-        c = -np.trace(JM) / k
-        coeffs.append(float(c))
-        M = JM + c * eye
-    return np.array(coeffs)
-
-
-def _horner(coeffs, z: complex) -> complex:
-    acc = complex(coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * z + c
-    return acc
-
-
-def _durand_kerner(coeffs, max_iter: int = 400) -> list[complex]:
-    """Simultaneous root iteration for a monic quartic (plain complex math).
-
-    Stops on root movement below 1e-14 (simple roots) or on a stalled
-    movement plateau (the noise floor of a multiple-root cluster).
-    """
-    n = len(coeffs) - 1
-    radius = 1.0 + max(abs(float(c)) for c in coeffs[1:])
-    seed = complex(0.4, 0.9)
-    z = [radius * seed ** (j + 1) for j in range(n)]
-    best = float("inf")
-    stalled = 0
-    for _ in range(max_iter):
-        move = 0.0
-        for j in range(n):
-            pj = _horner(coeffs, z[j])
-            denom = complex(1.0)
-            for m in range(n):
-                if m != j:
-                    denom *= z[j] - z[m]
-            if denom == 0:
-                denom = complex(1e-30)
-            dz = pj / denom
-            z[j] -= dz
-            move = max(move, abs(dz))
-        scale = max(1.0, max(abs(w) for w in z))
-        if move <= 1e-14 * scale:
-            break
-        if move <= 0.5 * best:
-            best = move
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 25:
-                break
-    return z
-
-
-def eigenvalues(J: np.ndarray, residual_tol: float = 1e-8) -> np.ndarray:
-    """The four eigenvalues of a real 4x4 matrix, sorted by (real, imag).
-
-    Each root is accepted only if the scaled characteristic-polynomial
-    residual |p(mu)| is below ``residual_tol``; otherwise
-    :class:`NonConvergence` is raised rather than guessing.
-    """
-    coeffs = characteristic_polynomial(J)
-    roots = _durand_kerner(coeffs)
-    coeff_scale = max(1.0, float(np.max(np.abs(coeffs))))
-    for r in roots:
-        scale = coeff_scale * max(1.0, abs(r)) ** 4
-        if abs(_horner(coeffs, r)) > residual_tol * scale:
-            raise NonConvergence(
-                f"root {r!r} has characteristic residual above {residual_tol:g}"
-            )
-    return np.sort_complex(np.array(roots))
+    mu, V = np.linalg.eig(J)
+    scale = max(1.0, float(np.max(np.sum(np.abs(J), axis=1))))
+    res = np.max(np.abs(J @ V - V * mu), axis=0)
+    bad = res > residual_tol * scale * np.max(np.abs(V), axis=0)
+    if np.any(bad):
+        raise NonConvergence(
+            f"eigenvalue {mu[bad][0]!r} has eigenpair residual above {residual_tol:g}"
+        )
+    return np.sort_complex(mu)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ import pytest
 from sisi.model import (
     ModelParams,
     SimplexPoint,
+    _step,
     apply_V,
-    evolve_array,
     validate_params,
 )
 from sisi.tensor import apply_qso, build_tensor
@@ -164,7 +164,8 @@ def test_criterion_7_proposition_suites():
 def test_criterion_8_grid_sweep():
     p = ModelParams(0.1, 0.2, 0.5, 0.0, 1.0, 0.3)
     grid = barycentric_grid(50)
-    residuals = np.max(np.abs(evolve_array(grid, p) - grid), axis=1)
+    image = np.stack(_step(*grid.T, *p.as_tuple()), axis=1)
+    residuals = np.max(np.abs(image - grid), axis=1)
     near_fixed = grid[residuals <= 1e-8]
     assert near_fixed.shape[0] >= 1
     anchors = [fp.point for fp in fixed_point_set(p) if fp.point is not None]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sisi.model import ModelParams, SimplexPoint, iterate
+from sisi.model import _CONDITIONS, ModelParams, SimplexPoint, iterate
 from sisi.fixpoints import DegenerateRegime, interior_quadratic
 from sisi.dynamics import (
     GridSpec,
@@ -176,6 +176,25 @@ class TestConjectureScan:
         report = conjecture_scan(1, grid=grid, n_init=2, seed=5)
         assert all(r.verdict == "inadmissible" for r in report.records)
 
+    def test_admissibility_matches_validate_params_cell_by_cell(self):
+        # dyadic axes put many cells exactly on an inequality's bound; one
+        # negative axis value covers the rate >= 0 check
+        grid = GridSpec(
+            b=(0.0, 0.25, 0.5, 0.75), alpha=(0.0, 0.25, 0.5),
+            beta1=(-0.5, 0.0, 1.0, 2.0), beta2=(0.0, 0.5, 1.0),
+            k1=(0.0, 1.0, 2.0), k2=(0.0, 1.0, 2.0),
+        )
+        report = conjecture_scan(1, grid=grid, n_init=1, max_iter=1)
+        on_bound = 0
+        for rec in report.records:
+            rates = report.cells[rec.cell]
+            p = ModelParams(*rates)
+            assert (rec.verdict != "inadmissible") == p.admissible, p
+            if p.admissible and any(fn(*rates) == bound for _, fn, bound in _CONDITIONS):
+                on_bound += 1
+        assert on_bound > 0
+        assert 0 < report.summary["inadmissible"] < len(report.records)
+
     def test_determinism_same_seed(self):
         grid = GridSpec(
             b=(0.1, 0.35), alpha=(0.05, 0.2), beta1=(0.5,), beta2=(0.01, 0.2),
@@ -261,6 +280,23 @@ class TestEquilibriumCurves:
         assert cur.slope_linear == b1
         assert cur.slope_saturating_at_zero == pytest.approx(
             al * b1 * b2 * k2 / (b * (b + al)), abs=1e-15)
+
+    def test_crossing_in_first_interval(self):
+        # the positive root 3.8e-4 lies between the first two samples
+        p = ModelParams(0.2, 0.3, 0.6, 0.4, (0.5 / 0.6) * (1 + 1e-3), 0.1)
+        cur = equilibrium_curves(p)
+        root = interior_quadratic(p).positive_root
+        assert root < cur.xs[1]
+        assert cur.sign_changes == 1
+        assert cur.crossings[0] == pytest.approx(root, rel=1e-9)
+
+    def test_crossing_on_a_sample_point(self):
+        # gap(A) = 0.25 + 0.5*A - 0.75 vanishes exactly at the sample A = 1
+        p = ModelParams(0.25, 0.0, 0.5, 0.5, 1.5, 1.0)
+        cur = equilibrium_curves(p, x_max=2.0)
+        assert cur.xs[256] == 1.0 and cur.linear[256] == cur.saturating[256]
+        assert cur.sign_changes == 1
+        assert cur.crossings == (1.0,)
 
     def test_degenerate_without_turnover(self):
         with pytest.raises(DegenerateRegime):

@@ -9,7 +9,9 @@ from sisi.model import ModelParams, SimplexPoint, apply_V
 from sisi.fixpoints import (
     DegenerateRegime,
     NoInteriorPoint,
+    _balance_gap,
     barycentric_grid,
+    bracketed_root,
     fixed_point_set,
     interior_fixed_point,
     interior_quadratic,
@@ -77,6 +79,52 @@ class TestInteriorQuadratic:
     def test_degenerate_leading_coefficient(self):
         with pytest.raises(DegenerateRegime):
             interior_quadratic(ModelParams(0.2, 0.3, 0.6, 0.0, 1.0, 1.0))
+
+
+class TestBracketedRoot:
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g, calls
+
+    def test_agrees_with_closed_form_root(self, rng):
+        found = 0
+        while found < 200:
+            p = random_admissible(rng)
+            quad = interior_quadratic(p, cross_check=False)
+            root = quad.positive_root
+            if min(p.as_tuple()) <= 0.0 or root is None or len(quad.roots) < 2:
+                continue
+            # the bracket must exclude a second positive root
+            lo = max(0.5 * root, 0.5 * (quad.roots[0] + root))
+            found += 1
+            got = bracketed_root(lambda A: _balance_gap(p, A), lo, 1.5 * root)
+            assert abs(got - root) <= 1e-13 * root, p
+
+    def test_stops_where_one_ulp_exceeds_1e_15(self):
+        f, calls = self.counted(lambda x: x * x - 101.0)
+        got = bracketed_root(f, 9.0, 11.0)
+        assert math.ulp(got) > 1e-15
+        assert abs(got - math.sqrt(101.0)) <= 4 * math.ulp(got)
+        assert len(calls) <= 40
+
+    def test_stops_on_adjacent_floats(self):
+        lo = 1.0
+        hi = math.nextafter(lo, 2.0)
+        f, calls = self.counted(lambda x: -1.0 if x <= lo else 1.0)
+        assert bracketed_root(f, lo, hi) in (lo, hi)
+        assert len(calls) <= 3
+
+    def test_exact_zero_at_an_end(self):
+        assert bracketed_root(lambda x: x - 2.0, 0.0, 2.0) == 2.0
+
+    def test_rejects_interval_without_sign_change(self):
+        with pytest.raises(ValueError):
+            bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestInteriorFixedPoint:
@@ -167,10 +215,11 @@ class TestGridSweep:
 
     def test_near_fixed_grid_points_are_near_catalog(self):
         # brute-force sweep against the catalog in the two-point regime
-        from sisi.model import evolve_array
+        from sisi.model import _step
 
         grid = barycentric_grid(50)
-        res = np.max(np.abs(evolve_array(grid, FIG2) - grid), axis=1)
+        image = np.stack(_step(*grid.T, *FIG2.as_tuple()), axis=1)
+        res = np.max(np.abs(image - grid), axis=1)
         near_fixed = grid[res <= 1e-8]
         assert len(near_fixed) >= 1  # the disease-free vertex is a grid point
         anchors = [fp.point for fp in fixed_point_set(FIG2)]

@@ -1,8 +1,14 @@
 """Evolution operator, admissibility, and simplex invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sisi
 from sisi.model import (
     InadmissibleParams,
     ModelParams,
@@ -189,13 +195,24 @@ class TestIterate:
             iterate(SimplexPoint(1, 0, 0, 0), FIG1, -1)
 
     def test_vectorized_path_matches_scalar_path(self, rng):
-        # conjecture scans ride on evolve_array; it must agree bitwise
-        from sisi.model import evolve_array
+        # conjecture scans run _step on arrays; it must agree bitwise
+        from sisi.model import _step
 
         for _ in range(20):
             p = random_admissible(rng)
             states = np.stack([random_point(rng) for _ in range(8)])
-            batch = evolve_array(states, p)
+            batch = np.stack(_step(*states.T, *p.as_tuple()), axis=1)
             for row_in, row_out in zip(states, batch):
                 direct = apply_V(SimplexPoint.from_array(row_in), p).as_array()
                 assert np.array_equal(row_out, direct)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency
+    env = {**os.environ, "PYTHONPATH": str(Path(sisi.__file__).resolve().parents[1])}
+    code = ("import sys, sisi; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import pytest
 from sisi.model import ModelParams, SimplexPoint, apply_V
 from sisi.stability import (
     LAMBDA1,
-    characteristic_polynomial,
+    NonConvergence,
     classify,
     classify_at,
     classify_lambda1,
@@ -102,6 +102,9 @@ class TestEigenvalues:
             # triple root 1-b: cluster accuracy ~eps^(1/3)
             assert np.max(np.abs(np.sort(eigs.real) - expected)) <= 1e-3
             assert np.max(np.abs(eigs.imag)) <= 1e-3
+            # LAPACK's balancing isolates the diagonal here: exact spectrum
+            assert np.array_equal(np.sort(eigs.real), expected)
+            assert np.all(eigs.imag == 0.0)
 
     def test_spectrum_nonnegative_and_max_modulus(self, rng):
         for _ in range(100):
@@ -112,14 +115,21 @@ class TestEigenvalues:
             assert np.max(np.abs(eigs)) == pytest.approx(max(mu1, abs(mu2)),
                                                          abs=1e-3)
 
-    def test_characteristic_polynomial_known_matrix(self):
-        # companion-style check: diag(1,2,3,4) has charpoly with roots 1..4
-        coeffs = characteristic_polynomial(np.diag([1.0, 2.0, 3.0, 4.0]))
-        assert np.allclose(coeffs, [1, -10, 35, -50, 24], atol=1e-12)
-
     def test_rejects_nonfinite(self):
         J = np.full((4, 4), np.nan)
         with pytest.raises(ValueError):
+            eigenvalues(J)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            eigenvalues(np.eye(3))
+
+    def test_residual_check_refuses_a_wrong_eigenpair(self, monkeypatch):
+        J = np.diag([0.1, 0.2, 0.3, 0.4])
+        mu, V = np.linalg.eig(J)
+        mu[2] += 1e-6
+        monkeypatch.setattr(np.linalg, "eig", lambda _: (mu, V))
+        with pytest.raises(NonConvergence):
             eigenvalues(J)
 
 
@@ -157,6 +167,14 @@ class TestClassification:
             closed = classify_lambda1(p).classification
             generic = classify_at(SimplexPoint(1, 0, 0, 0), p).classification
             assert closed == generic, p
+
+    def test_tiny_turnover_generic_path_agrees(self):
+        # the triple eigenvalue 1 - b sits 3.8e-6 inside the unit circle; a
+        # root-cluster error larger than b used to read it as a saddle
+        p = ModelParams(3.8e-6, 0.6, 0.5, 0.2, 1.0, 0.5)
+        closed = classify_lambda1(p)
+        assert closed.classification == "attracting"
+        assert classify_at(LAMBDA1, p).classification == closed.classification
 
     def test_lambda1_constant_exported(self):
         assert LAMBDA1.as_tuple() == (1.0, 0.0, 0.0, 0.0)

@@ -1,5 +1,7 @@
 """Limit detection, the prediction dispatcher, suites, scans, and curves."""
 
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -206,6 +208,28 @@ class TestConjectureScan:
         for ra, rc in zip(a.records, c.records):
             assert (ra.verdict, ra.target, ra.iterations) == (rc.verdict, rc.target, rc.iterations)
             assert ra.limit == rc.limit
+
+    @pytest.mark.parametrize("options,summary,digest", [
+        ({"max_iter": 100},
+         {"match": 4, "counterexample": 0, "inconclusive": 2, "no-claim": 6,
+          "inadmissible": 12},
+         "58ba7a2c6611548c786083ee3e1f7cb3ec51e721951849d955140fc9719cfa15"),
+        ({"match_tol": 1e-15},
+         {"match": 0, "counterexample": 6, "inconclusive": 0, "no-claim": 6,
+          "inadmissible": 12},
+         "bde57cad8e78f35fd598dfc9a072b156061576f9c2af40864cb25edf43e6e3e9"),
+    ])
+    def test_jsonl_bytes_pinned(self, options, summary, digest):
+        # every verdict on one small grid, serialized byte for byte
+        grid = GridSpec(
+            b=(0.1, 0.6, 0.9), alpha=(0.2, 0.5), beta1=(0.5,), beta2=(0.0, 0.1),
+            k1=(1.0,), k2=(0.3,),
+        )
+        report = conjecture_scan(1, grid=grid, n_init=2, seed=5, **options)
+        assert report.summary == summary
+        buf = io.StringIO()
+        report.to_jsonl(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_default_grids_cover_reference_cells(self):
         g1 = default_grid(1)

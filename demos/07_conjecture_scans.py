@@ -26,7 +26,7 @@ report = conjecture_scan(1, grid=small, n_init=3, seed=42)
 print("boundary-conjecture scan on a trimmed grid:")
 for verdict, count in sorted(report.summary.items()):
     print(f"    {verdict:15s} {count}")
-print("    counterexamples:", len(report.counterexamples))
+print("    counterexamples:", report.summary["counterexample"])
 
 # The dichotomy mirrors the equilibrium balance curves: the linear side
 # b + beta1*A against the saturating side.  One crossing above threshold,

@@ -363,7 +363,7 @@ def cmd_scan(args) -> int:
     summary = " ".join(f"{k}={v}" for k, v in sorted(report.summary.items()))
     print(f"# scan conjecture={args.conjecture} seed={cfg.seed} {summary}",
           file=sys.stderr)
-    return DOMAIN_NEGATIVE if report.counterexamples else OK
+    return DOMAIN_NEGATIVE if report.summary["counterexample"] else OK
 
 
 def cmd_tensor_dump(args) -> int:
@@ -377,13 +377,17 @@ def cmd_tensor_dump(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--params", nargs="*", metavar="KEY=VALUE",
-                     help="rates: b, alpha, beta1, beta2, k1, k2 (missing keys default to 0)")
     sub.add_argument("--config", help="key=value config file; flags override")
-    sub.add_argument("--init", help="initial point as x,u,y,v")
-    sub.add_argument("--figure", type=int, help="preset 1-6")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--seed", type=int, help="rng seed (default 0)")
+
+
+def _add_run(sub: argparse.ArgumentParser) -> None:
+    """Rates, start point and iteration flags; the scan fixes all of these."""
+    sub.add_argument("--params", nargs="*", metavar="KEY=VALUE",
+                     help="rates: b, alpha, beta1, beta2, k1, k2 (missing keys default to 0)")
+    sub.add_argument("--init", help="initial point as x,u,y,v")
+    sub.add_argument("--figure", type=int, help="preset 1-6")
     sub.add_argument("--max-iter", type=int, dest="max_iter")
     sub.add_argument("--tol-step", type=float, dest="tol_step")
     sub.add_argument("--tol-fix", type=float, dest="tol_fix")
@@ -408,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub = subs.add_parser(name)
         _add_common(sub)
+        if extra != "scan":
+            _add_run(sub)
         if extra == "classify":
             sub.add_argument("--format", choices=("json", "csv"), default="json")
         elif extra == "conjugacy":

@@ -10,9 +10,10 @@ This module provides
   rules and the two conjectured dichotomies, with conjectural predictions
   flagged as such;
 * :func:`verify_proposition` -- randomized agreement suites per regime;
-* :func:`conjecture_scan` -- deterministic grid scans that either confirm
-  the conjectured targets cell by cell or emit reproducible
-  counterexample records (a counterexample is reported, never suppressed);
+* :func:`conjecture_scan` -- deterministic grid scans that give every
+  (cell, initial point) row a verdict against the conjectured target,
+  returned as a :class:`ScanReport` of per-row columns (a counterexample
+  is reported, never suppressed);
 * :func:`equilibrium_curves` -- the linear-vs-saturating curve pair whose
   intersections are the interior equilibrium forces of infection.
 """
@@ -31,9 +32,9 @@ from sisi.model import (
     ModelParams,
     SimplexPoint,
     _CONDITIONS,
+    _rate_ok,
     _step,
     require_admissible,
-    validate_params,
 )
 from sisi.fixpoints import (
     DegenerateRegime,
@@ -58,7 +59,6 @@ __all__ = [
     "LimitReport",
     "SuiteReport",
     "GridSpec",
-    "ScanRecord",
     "ScanReport",
     "EquilibriumCurves",
     "detect_limit",
@@ -364,40 +364,30 @@ class RegimeCase:
     extra_check: "callable | None" = None
 
 
-def _admissible_or_none(fields: tuple[float, ...]) -> ModelParams | None:
-    p = ModelParams(*fields)
-    try:
-        ok = validate_params(p).ok
-    except Exception:
-        return None
-    return p if ok else None
-
-
 def _rejection_sample(rng, draw, attempts: int = 1000) -> tuple[ModelParams, SimplexPoint]:
+    """Call ``draw(rng) -> (rates, zeros)`` until the rates are admissible,
+    then draw a floored start point with the coordinates ``zeros`` at 0."""
     for _ in range(attempts):
-        got = draw(rng)
-        if got is not None:
-            return got
+        rates, zeros = draw(rng)
+        p = ModelParams(*rates)
+        if p.admissible:
+            return p, _floored_point(rng, zeros=zeros)
     raise RegimeUnsatisfiable("no admissible draw after "
                               f"{attempts} attempts")
 
 
 def _cases_no_susceptibility() -> list[RegimeCase]:
     def identity_draw(rng):
-        p = _admissible_or_none((0.0, 0.0, 0.0, 0.0,
-                                 rng.uniform(0, 1.5), rng.uniform(0, 1.5)))
-        return None if p is None else (p, _floored_point(rng))
+        return (0.0, 0.0, 0.0, 0.0, rng.uniform(0, 1.5), rng.uniform(0, 1.5)), ()
 
     def decay_draw(rng):
-        p = _admissible_or_none((0.0, rng.uniform(0.05, 0.95), 0.0, 0.0,
-                                 rng.uniform(0, 1.5), rng.uniform(0, 1.5)))
-        return None if p is None else (p, _floored_point(rng))
+        return (0.0, rng.uniform(0.05, 0.95), 0.0, 0.0,
+                rng.uniform(0, 1.5), rng.uniform(0, 1.5)), ()
 
     def birth_draw(rng):
         b = rng.uniform(0.05, 0.9)
-        p = _admissible_or_none((b, rng.uniform(0.0, max(0.0, 0.95 - b)), 0.0, 0.0,
-                                 rng.uniform(0, 1.5), rng.uniform(0, 1.5)))
-        return None if p is None else (p, _floored_point(rng))
+        return (b, rng.uniform(0.0, max(0.0, 0.95 - b)), 0.0, 0.0,
+                rng.uniform(0, 1.5), rng.uniform(0, 1.5)), ()
 
     return [
         RegimeCase("no-susceptibility/alpha=b=0",
@@ -414,31 +404,26 @@ def _cases_no_susceptibility() -> list[RegimeCase]:
 
 def _cases_recovered_susceptibility() -> list[RegimeCase]:
     def base(rng, b, al, k1, k2):
-        return _admissible_or_none((b, al, 0.0, rng.uniform(0.2, 1.0), k1, k2))
+        return (b, al, 0.0, rng.uniform(0.2, 1.0), k1, k2), ()
 
     def no_turnover(rng):
-        p = base(rng, 0.0, 0.0, rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2))
-        return None if p is None else (p, _floored_point(rng))
+        return base(rng, 0.0, 0.0, rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2))
 
     def birth_no_recovery(rng):
-        p = base(rng, rng.uniform(0.05, 0.7), 0.0,
-                 rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
-        return None if p is None else (p, _floored_point(rng))
+        return base(rng, rng.uniform(0.05, 0.7), 0.0,
+                    rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
 
     def decay_k2_zero(rng):
-        p = base(rng, 0.0, rng.uniform(0.05, 0.95), rng.uniform(0.3, 1.2), 0.0)
-        return None if p is None else (p, _floored_point(rng))
+        return base(rng, 0.0, rng.uniform(0.05, 0.95), rng.uniform(0.3, 1.2), 0.0)
 
     def decay_k2_pos(rng):
-        p = base(rng, 0.0, rng.uniform(0.05, 0.95),
-                 rng.uniform(0.0, 1.2), rng.uniform(0.3, 1.2))
-        return None if p is None else (p, _floored_point(rng))
+        return base(rng, 0.0, rng.uniform(0.05, 0.95),
+                    rng.uniform(0.0, 1.2), rng.uniform(0.3, 1.2))
 
     def both_positive(rng):
         b = rng.uniform(0.05, 0.6)
-        p = base(rng, b, rng.uniform(0.05, max(0.06, 0.9 - b)),
-                 rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
-        return None if p is None else (p, _floored_point(rng))
+        return base(rng, b, rng.uniform(0.05, max(0.06, 0.9 - b)),
+                    rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
 
     return [
         RegimeCase("recovered-susceptibility/alpha=b=0",
@@ -461,25 +446,20 @@ def _cases_recovered_susceptibility() -> list[RegimeCase]:
 
 def _cases_no_turnover() -> list[RegimeCase]:
     def frozen(rng):
-        p = _admissible_or_none((0.0, 0.0, rng.uniform(0, 1.5),
-                                 rng.uniform(0, 1.5), 0.0, 0.0))
-        return None if p is None else (p, _floored_point(rng))
+        return (0.0, 0.0, rng.uniform(0, 1.5),
+                rng.uniform(0, 1.5), 0.0, 0.0), ()
 
     def beta1_zero(rng):
-        p = _admissible_or_none((0.0, 0.0, 0.0, rng.uniform(0.2, 1.2),
-                                 rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)))
-        return None if p is None else (p, _floored_point(rng))
+        return (0.0, 0.0, 0.0, rng.uniform(0.2, 1.2),
+                rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)), ()
 
     def beta2_zero(rng):
-        p = _admissible_or_none((0.0, 0.0, rng.uniform(0.2, 1.2), 0.0,
-                                 rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)))
-        return None if p is None else (p, _floored_point(rng))
+        return (0.0, 0.0, rng.uniform(0.2, 1.2), 0.0,
+                rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)), ()
 
     def both(rng):
-        p = _admissible_or_none((0.0, 0.0, rng.uniform(0.2, 1.2),
-                                 rng.uniform(0.2, 1.2),
-                                 rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)))
-        return None if p is None else (p, _floored_point(rng))
+        return (0.0, 0.0, rng.uniform(0.2, 1.2), rng.uniform(0.2, 1.2),
+                rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)), ()
 
     def u_growth(trial_rows):
         """The open reading question: does the u-limit stay at u0?"""
@@ -512,21 +492,18 @@ def _cases_no_recovery() -> list[RegimeCase]:
         b = rng.uniform(0.1, 0.9)
         b1 = rng.uniform(0.2, 1.0)
         k1 = rng.uniform(0.0, max(0.0, b - 0.02)) / b1
-        p = _admissible_or_none((b, 0.0, b1, rng.uniform(0.0, 0.8), k1, 0.0))
-        return None if p is None else (p, _floored_point(rng))
+        return (b, 0.0, b1, rng.uniform(0.0, 0.8), k1, 0.0), ()
 
     def no_initial_infected(rng):
-        p = _admissible_or_none((rng.uniform(0.05, 0.9), 0.0,
-                                 rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.8),
-                                 rng.uniform(0.0, 1.5), 0.0))
-        return None if p is None else (p, _floored_point(rng, zeros=(1,)))
+        return (rng.uniform(0.05, 0.9), 0.0,
+                rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.8),
+                rng.uniform(0.0, 1.5), 0.0), (1,)
 
     def persistent(rng):
         b = rng.uniform(0.05, 0.45)
         bk = b + rng.uniform(0.05, min(0.5, 1.0 - b))
         b1 = rng.uniform(0.4, 1.0)
-        p = _admissible_or_none((b, 0.0, b1, rng.uniform(0.0, 0.5), bk / b1, 0.0))
-        return None if p is None else (p, _floored_point(rng))
+        return (b, 0.0, b1, rng.uniform(0.0, 0.5), bk / b1, 0.0), ()
 
     return [
         RegimeCase("no-recovery/beta1k1<=b",
@@ -553,27 +530,24 @@ def _cases_no_reinfection() -> list[RegimeCase]:
             k1, k2, zeros = rng.uniform(0.3, 1.2), 0.0, (1,)
         else:
             k1, k2, zeros = rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2), (1, 3)
-        p = _admissible_or_none((b, al, rng.uniform(0.2, 1.2), 0.0, k1, k2))
-        return None if p is None else (p, _floored_point(rng, zeros=zeros))
+        return (b, al, rng.uniform(0.2, 1.2), 0.0, k1, k2), zeros
 
     def frozen_b0(rng):
         return quiet_variant(rng, 0.0, rng.uniform(0.05, 0.95))
 
     def second_wave(rng):
-        p = _admissible_or_none((0.0, rng.uniform(0.05, 0.95),
-                                 rng.uniform(0.2, 1.2), 0.0,
-                                 rng.uniform(0.0, 1.2), rng.uniform(0.3, 1.2)))
-        return None if p is None else (p, _floored_point(rng))
+        return (0.0, rng.uniform(0.05, 0.95),
+                rng.uniform(0.2, 1.2), 0.0,
+                rng.uniform(0.0, 1.2), rng.uniform(0.3, 1.2)), ()
 
     def first_wave_only(rng):
         if rng.integers(2):
             k2, zeros = 0.0, ()
         else:
             k2, zeros = rng.uniform(0.3, 1.2), (3,)
-        p = _admissible_or_none((0.0, rng.uniform(0.05, 0.95),
-                                 rng.uniform(0.2, 1.2), 0.0,
-                                 rng.uniform(0.3, 1.2), k2))
-        return None if p is None else (p, _floored_point(rng, zeros=zeros))
+        return (0.0, rng.uniform(0.05, 0.95),
+                rng.uniform(0.2, 1.2), 0.0,
+                rng.uniform(0.3, 1.2), k2), zeros
 
     def frozen_turnover(rng):
         b = rng.uniform(0.05, 0.5)
@@ -588,8 +562,7 @@ def _cases_no_reinfection() -> list[RegimeCase]:
             k2, zeros = 0.0, ()
         else:
             k2, zeros = rng.uniform(0.3, 1.2), (3,)
-        p = _admissible_or_none((b, al, b1, 0.0, k1, k2))
-        return None if p is None else (p, _floored_point(rng, zeros=zeros))
+        return (b, al, b1, 0.0, k1, k2), zeros
 
     return [
         RegimeCase("no-reinfection/b=0,A0=0",
@@ -769,64 +742,71 @@ def default_grid(conjecture: int) -> GridSpec:
     raise ValueError("conjecture must be 1 (boundary) or 2 (interior)")
 
 
-@dataclass(frozen=True, eq=False)
-class ScanRecord:
-    cell: int
-    init: int
-    verdict: str       # match | counterexample | inconclusive | no-claim | inadmissible
-    target: str | None  # catalog label of the claimed limit
-    distance: float
-    iterations: int
-    final_step: float
-    limit: tuple[float, ...] | None
-
-    def to_json(self, cells: np.ndarray, inits: np.ndarray) -> str:
-        payload = {
-            "cell": self.cell,
-            "init": self.init,
-            "params": [float(c) for c in cells[self.cell]],
-            "init_point": [float(c) for c in inits[self.init]] if self.init >= 0 else None,
-            "verdict": self.verdict,
-            "target": self.target,
-            "distance": self.distance,
-            "iterations": self.iterations,
-            "final_step": self.final_step,
-            "limit": list(self.limit) if self.limit is not None else None,
-        }
-        return json.dumps(payload, sort_keys=True)
+# In the order conjecture_scan tests their conditions; the last is the default.
+_VERDICTS = ("inadmissible", "no-claim", "match", "counterexample", "inconclusive")
 
 
 @dataclass(frozen=True, eq=False)
 class ScanReport:
+    """One scan as (n_cells, n_init) columns; ``limit`` adds an axis of 4.
+
+    ``verdict`` is match, counterexample, inconclusive, no-claim or
+    inadmissible; ``target`` is the claimed limit's catalog label (None
+    without a claim); ``distance`` is the limit's largest coordinate
+    deviation from the target (NaN without a claim).  Inadmissible cells are
+    never iterated: limit and final step NaN, 0 iterations.  ``summary``
+    counts the rows per verdict.
+    """
+
     conjecture: int
     seed: int
     grid: GridSpec
     inits: np.ndarray
     cells: np.ndarray
-    records: tuple[ScanRecord, ...]
+    verdict: np.ndarray
+    target: np.ndarray
+    distance: np.ndarray
+    iterations: np.ndarray
+    final_step: np.ndarray
+    limit: np.ndarray
     summary: dict[str, int]
     max_iter: int
     tol_step: float
     match_tol: float
 
-    @property
-    def counterexamples(self) -> tuple[ScanRecord, ...]:
-        return tuple(r for r in self.records if r.verdict == "counterexample")
-
     def to_jsonl(self, fh) -> None:
+        """A header line, then one JSON line per row in (cell, init) order."""
+        n_init = self.inits.shape[0]
         header = {
             "conjecture": self.conjecture,
             "seed": self.seed,
             "n_cells": int(self.cells.shape[0]),
-            "n_init": int(self.inits.shape[0]),
+            "n_init": n_init,
             "max_iter": self.max_iter,
             "tol_step": self.tol_step,
             "match_tol": self.match_tol,
             "summary": self.summary,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in self.records:
-            fh.write(rec.to_json(self.cells, self.inits) + "\n")
+        params, points = self.cells.tolist(), self.inits.tolist()
+        rows = zip(self.verdict.ravel().tolist(), self.target.ravel().tolist(),
+                   self.distance.ravel().tolist(), self.iterations.ravel().tolist(),
+                   self.final_step.ravel().tolist(), self.limit.reshape(-1, 4).tolist())
+        for row, (verdict, target, distance, iterations, final_step, limit) in enumerate(rows):
+            cell, init = divmod(row, n_init)
+            payload = {
+                "cell": cell,
+                "init": init,
+                "params": params[cell],
+                "init_point": points[init],
+                "verdict": verdict,
+                "target": target,
+                "distance": distance,
+                "iterations": iterations,
+                "final_step": final_step,
+                "limit": None if verdict == "inadmissible" else limit,
+            }
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _batch_limits(params: np.ndarray, states: np.ndarray, max_iter: int,
@@ -900,14 +880,16 @@ def conjecture_scan(
         grid = default_grid(conjecture)
     if conjecture not in (1, 2):
         raise ValueError("conjecture must be 1 (boundary) or 2 (interior)")
+    if n_init < 1:
+        raise ValueError("n_init must be >= 1")
     cells = grid.cells()
     n_cells = cells.shape[0]
     rng = np.random.default_rng(seed)
     inits = np.stack([_floored_point(rng).as_array() for _ in range(n_init)])
 
-    # validate_params on every cell: no rate < 0 and no inequality violated
+    # validate_params on every cell: rates finite and >= 0, no inequality violated
     b, al, b1, b2, k1, k2 = rates = cells.T
-    admissible = ~np.any(cells < 0.0, axis=1)
+    admissible = np.all(_rate_ok(cells), axis=1)
     for _, value, bound in _CONDITIONS:
         admissible &= ~(value(*rates) > bound)
 
@@ -931,67 +913,45 @@ def conjecture_scan(
             A = np.where(A > 0.0, A, np.nan)
             other_target = np.stack(_interior_coordinates(b, al, b1, b2, A), axis=1)
 
-    lam1 = np.tile(_LAMBDA1, (n_cells, 1))
     targets = np.full((n_cells, 4), np.nan)
     target_label = np.full(n_cells, None, dtype=object)
-    targets[claim_lam1] = lam1[claim_lam1]
+    targets[claim_lam1] = _LAMBDA1
     target_label[claim_lam1] = "lambda_1"
     targets[claim_other] = other_target[claim_other]
     target_label[claim_other] = other_label
+    claim = claim_lam1 | claim_other
 
-    # evolve every admissible (cell, init) row
+    # evolve every admissible (cell, init) row; inadmissible rows stay NaN
+    limit = np.full((n_cells, n_init, 4), np.nan)
+    iterations = np.zeros((n_cells, n_init), dtype=np.int64)
+    final_step = np.full((n_cells, n_init), np.nan)
     cell_idx = np.repeat(np.arange(n_cells)[admissible], n_init)
     init_idx = np.tile(np.arange(n_init), int(admissible.sum()))
-    row_params = cells[cell_idx]
-    row_states = inits[init_idx]
-    row_targets = targets[cell_idx]
     final, iters, fstep = _batch_limits(
-        row_params, row_states, max_iter, tol_step, row_targets,
+        cells[cell_idx], inits[init_idx], max_iter, tol_step, targets[cell_idx],
         prox_tol=min(1e-8, match_tol / 10.0))
+    limit[admissible] = final.reshape(-1, n_init, 4)
+    iterations[admissible] = iters.reshape(-1, n_init)
+    final_step[admissible] = fstep.reshape(-1, n_init)
 
-    records: list[ScanRecord] = []
-    summary: dict[str, int] = {
-        "match": 0, "counterexample": 0, "inconclusive": 0,
-        "no-claim": 0, "inadmissible": 0,
-    }
-    pos = 0
-    for c in range(n_cells):
-        if not admissible[c]:
-            for k in range(n_init):
-                records.append(ScanRecord(c, k, "inadmissible", None,
-                                          math.nan, 0, math.nan, None))
-                summary["inadmissible"] += 1
-            continue
-        for k in range(n_init):
-            st = final[pos]
-            it = int(iters[pos])
-            stp = float(fstep[pos])
-            pos += 1
-            label = target_label[c]
-            if label is None:
-                records.append(ScanRecord(c, k, "no-claim", None, math.nan,
-                                          it, stp, tuple(st)))
-                summary["no-claim"] += 1
-                continue
-            dist = float(np.max(np.abs(st - targets[c])))
-            converged = stp <= tol_step or dist <= match_tol
-            if dist <= match_tol:
-                verdict = "match"
-            elif converged:
-                verdict = "counterexample"
-            else:
-                verdict = "inconclusive"
-            records.append(ScanRecord(c, k, verdict, label, dist, it, stp,
-                                      tuple(st)))
-            summary[verdict] += 1
+    # NaN where there is no claim: NaN targets, or NaN limits when inadmissible
+    distance = np.max(np.abs(limit - targets[:, None, :]), axis=2)
+    code = np.select([~admissible[:, None], ~claim[:, None],
+                      distance <= match_tol, final_step <= tol_step],
+                     [0, 1, 2, 3], default=4)
     return ScanReport(
         conjecture=conjecture,
         seed=seed,
         grid=grid,
         inits=inits,
         cells=cells,
-        records=tuple(records),
-        summary=summary,
+        verdict=np.array(_VERDICTS, dtype=object)[code],
+        target=np.broadcast_to(target_label[:, None], code.shape),
+        distance=distance,
+        iterations=iterations,
+        final_step=final_step,
+        limit=limit,
+        summary=dict(zip(_VERDICTS, np.bincount(code.ravel(), minlength=5).tolist())),
         max_iter=max_iter,
         tol_step=tol_step,
         match_tol=match_tol,

@@ -174,9 +174,16 @@ def _balance_gap(p: ModelParams, A: float) -> float:
 def interior_quadratic(p: ModelParams, cross_check: bool = True) -> InteriorQuadratic:
     """Coefficients and real roots of the interior equilibrium quadratic.
 
-    The positive root (largest root > 0, when one exists) is cross-checked
+    The positive root r (largest root > 0, when one exists) is cross-checked
     against a bracketing root-find on the uncleared balance equation to
-    1e-12 whenever all six rates are positive.
+    1e-12*max(1, r).  The check runs when all six rates are positive, the
+    roots r0 < r are distinct, the balance gap changes sign on
+    [lo, 1.5*r + 1e-12] (lo: the midpoint of r0 and r if r0 > 0, else 0.5*r),
+    and rounding in the gap cannot move its root by the tolerance: its slope
+    at r is c2*(r - r0)/D with D = (b + beta1*r)*(b + beta2*r)*(b + alpha),
+    and 8*eps*D/(c2*(r - r0)) <= 1e-12*max(1, r) is required (measured
+    shifts stay under half of that).  So a double root, which has no sign
+    change, and roots a fold apart are not checked.
     """
     c2, c1, c0, disc = _quadratic(*p.as_tuple())
     if c2 == 0.0:
@@ -191,11 +198,16 @@ def interior_quadratic(p: ModelParams, cross_check: bool = True) -> InteriorQuad
     else:
         roots = tuple(sorted(float(r) for r in _roots(c2, c1, c0, disc)))
     positive = max((r for r in roots if r > 0.0), default=None)
-    if cross_check and positive is not None and min(p.as_tuple()) > 0.0:
-        lo, hi = positive * 0.5, positive * 1.5 + 1e-12
-        if _balance_gap(p, lo) * _balance_gap(p, hi) < 0.0:
+    if cross_check and positive is not None and roots[0] < positive and min(p.as_tuple()) > 0.0:
+        b, al, b1, b2, _, _ = p.as_tuple()
+        tol = 1e-12 * max(1.0, positive)
+        D = (b + b1 * positive) * (b + b2 * positive) * (b + al)
+        drift = 8.0 * np.finfo(float).eps * D / (c2 * (positive - roots[0]))
+        lo = max(0.5 * positive, 0.5 * (roots[0] + positive))
+        hi = positive * 1.5 + 1e-12
+        if drift <= tol and _balance_gap(p, lo) * _balance_gap(p, hi) < 0.0:
             refined = bracketed_root(lambda A: _balance_gap(p, A), lo, hi)
-            if abs(refined - positive) > 1e-12 * max(1.0, abs(positive)):
+            if abs(refined - positive) > tol:
                 raise ArithmeticError(
                     f"quadratic root {positive!r} disagrees with direct "
                     f"root-find {refined!r}"

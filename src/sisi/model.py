@@ -18,6 +18,7 @@ inequalities; see :func:`validate_params`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ _FIELDS = ("b", "alpha", "beta1", "beta2", "k1", "k2")
 
 
 class NegativeParameter(ValueError):
-    """A model rate was negative; all six rates must be >= 0."""
+    """A model rate was negative or not finite; all six must be finite and >= 0."""
 
 
 class InadmissibleParams(ValueError):
@@ -135,18 +136,29 @@ _CONDITIONS = (
 )
 
 
+def _rate_ok(rate):
+    """True where a rate is finite and >= 0 (NaN is not); floats or arrays."""
+    return (rate >= 0.0) & (rate < math.inf)
+
+
+def _check_rates(p: ModelParams) -> None:
+    """Raise :class:`NegativeParameter` unless every rate is finite and >= 0."""
+    bad = [f for f in _FIELDS if not _rate_ok(getattr(p, f))]
+    if bad:
+        raise NegativeParameter(
+            "rate(s) must be finite and >= 0: "
+            + ", ".join(f"{f}={getattr(p, f)!r}" for f in bad)
+        )
+
+
 def validate_params(p: ModelParams) -> AdmissibilityReport:
     """Check the nine simplex-preservation inequalities.
 
-    Raises :class:`NegativeParameter` for negative rates (a distinct error:
-    negative rates are malformed input, not merely inadmissible).
+    Raises :class:`NegativeParameter` for a negative or non-finite rate (a
+    distinct error: such rates are malformed input, not merely
+    inadmissible).
     """
-    negative = [f for f in _FIELDS if getattr(p, f) < 0]
-    if negative:
-        raise NegativeParameter(
-            "negative rate(s): "
-            + ", ".join(f"{f}={getattr(p, f)!r}" for f in negative)
-        )
+    _check_rates(p)
     args = p.as_tuple()
     violations = tuple(
         Violation(name, value, bound)
@@ -168,9 +180,9 @@ class SimplexPoint:
     """A state (x, u, y, v) on the standard 3-simplex.
 
     Coordinates down to -1e-12 are clamped to zero (round-off tolerance);
-    anything more negative is rejected.  The coordinate sum must be 1 up to
-    a loose guard: iteration is never renormalized, so a small measured
-    drift is legal and observable via :attr:`drift`.
+    anything more negative, and NaN, is rejected.  The coordinate sum must
+    be 1 up to a loose guard: iteration is never renormalized, so a small
+    measured drift is legal and observable via :attr:`drift`.
     """
 
     x: float
@@ -181,9 +193,9 @@ class SimplexPoint:
     def __post_init__(self) -> None:
         for name in ("x", "u", "y", "v"):
             c = float(getattr(self, name))
-            if c < -COORD_CLAMP:
+            if not c >= -COORD_CLAMP:
                 raise ValueError(
-                    f"coordinate {name}={c!r} is negative beyond round-off"
+                    f"coordinate {name}={c!r} is NaN or negative beyond round-off"
                 )
             object.__setattr__(self, name, 0.0 if c < 0.0 else c)
         total = self.x + self.u + self.y + self.v

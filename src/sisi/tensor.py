@@ -26,8 +26,8 @@ from sisi.model import (
     IDENTITY_TOL,
     InadmissibleParams,
     ModelParams,
-    NegativeParameter,
     SimplexPoint,
+    _check_rates,
 )
 
 __all__ = [
@@ -118,11 +118,10 @@ def build_tensor(p: ModelParams, validate: bool = True) -> QsoTensor:
     :class:`InadmissibleParams` naming the offending coefficient; this is
     exactly the failure mode of inadmissible rates.  ``validate=False``
     returns the raw array for diagnostic use with :func:`check_axioms`.
+    Either way a negative or non-finite rate raises
+    :class:`~sisi.model.NegativeParameter`.
     """
-    negative = [f for f in ("b", "alpha", "beta1", "beta2", "k1", "k2")
-                if getattr(p, f) < 0]
-    if negative:
-        raise NegativeParameter("negative rate(s): " + ", ".join(negative))
+    _check_rates(p)
     P = heredity_values(p)
     if validate:
         bad = np.argwhere((P < 0.0) | (P > 1.0))

@@ -23,6 +23,10 @@ class TestValidate:
     def test_negative_rate_exit_two(self):
         assert main(["validate", "--params", "b=-0.1"]) == 2
 
+    def test_nan_rate_exit_two(self, capsys):
+        assert main(["validate", "--params", "b=nan", "alpha=0.1"]) == 2
+        assert "finite" in capsys.readouterr().out
+
     def test_malformed_token_exit_two(self):
         assert main(["validate", "--params", "bogus"]) == 2
 
@@ -68,6 +72,9 @@ class TestSimulate:
     def test_missing_init_is_bad_input(self):
         assert main(["simulate", *FIG1_ARGS]) == 2
 
+    def test_nan_init_is_bad_input(self):
+        assert main(["simulate", *FIG1_ARGS, "--init", "nan,0.5,0.25,0.25"]) == 2
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -102,6 +109,10 @@ class TestFixpoints:
         assert code == 0
         out = capsys.readouterr().out
         assert "lambda_1," in out and "lambda_10," in out
+
+    def test_nan_rate_is_bad_input(self):
+        assert main(["fixpoints", "--params", "b=nan", "alpha=0.1", "beta1=0.5",
+                     "k1=1"]) == 2
 
 
 class TestClassify:
@@ -143,3 +154,20 @@ class TestScan:
         assert len(lines) == 1 + 5 ** 6
         record = json.loads(lines[1])
         assert {"verdict", "params", "iterations"} <= set(record)
+
+    @pytest.mark.parametrize("flag", [
+        ["--max-iter", "5"], ["--tol-step", "1e-3"], ["--tol-fix", "1e-3"],
+        ["--params", "b=0.1"], ["--init", "1,0,0,0"], ["--figure", "1"],
+        ["--grid", "10"],
+    ], ids=lambda flag: flag[0])
+    def test_unread_flags_are_rejected(self, flag, tmp_path):
+        # the scan's grid, start points and tolerances are fixed
+        out = tmp_path / "scan.jsonl"
+        assert main(["scan", "--conjecture", "1", "--out", str(out), *flag]) == 2
+        assert not out.exists()
+
+    def test_no_initial_points_is_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "scan.jsonl"
+        assert main(["scan", "--conjecture", "1", "--inits", "0",
+                     "--out", str(out)]) == 2
+        assert "n_init must be >= 1" in capsys.readouterr().err

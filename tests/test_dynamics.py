@@ -144,11 +144,10 @@ class TestConjectureScan:
             k1=(1.0,), k2=(0.3,),
         )
         report = conjecture_scan(1, grid=grid, n_init=3, seed=5)
-        assert len(report.records) == 2 * 3
+        assert report.verdict.shape == (2, 3)
         # b=0.6: subcritical -> lambda_1; b=0.1: supercritical -> lambda_10
-        for rec in report.records:
-            assert rec.verdict == "match"
-        labels = {report.records[0].target, report.records[3].target}
+        assert np.all(report.verdict == "match")
+        labels = {report.target[0, 0], report.target[1, 0]}
         assert labels == {"lambda_1", "lambda_10"}
 
     def test_interior_reference_cells_match(self):
@@ -160,15 +159,12 @@ class TestConjectureScan:
         )
         report = conjecture_scan(2, grid=grid, n_init=2, seed=5)
         cells = report.cells
-        by_cell = {}
-        for rec in report.records:
-            by_cell.setdefault(rec.cell, []).append(rec)
         fig3 = np.array([0.6, 0.1, 0.5, 0.01, 1.2, 1.1])
         fig4 = np.array([0.1, 0.01, 0.8, 0.2, 0.5, 1.2])
         for ref, label in ((fig3, "lambda_1"), (fig4, "lambda_11")):
             idx = int(np.nonzero(np.all(cells == ref, axis=1))[0][0])
-            for rec in by_cell[idx]:
-                assert rec.verdict == "match" and rec.target == label
+            assert np.all(report.verdict[idx] == "match")
+            assert np.all(report.target[idx] == label)
 
     def test_inadmissible_cells_reported(self):
         grid = GridSpec(
@@ -176,26 +172,28 @@ class TestConjectureScan:
             k1=(1.0,), k2=(0.3,),
         )
         report = conjecture_scan(1, grid=grid, n_init=2, seed=5)
-        assert all(r.verdict == "inadmissible" for r in report.records)
+        assert np.all(report.verdict == "inadmissible")
 
     def test_admissibility_matches_validate_params_cell_by_cell(self):
         # dyadic axes put many cells exactly on an inequality's bound; one
-        # negative axis value covers the rate >= 0 check
+        # negative, one NaN and one infinite axis value cover the check that
+        # every rate is finite and >= 0 (inf*0 is NaN in an inequality)
         grid = GridSpec(
-            b=(0.0, 0.25, 0.5, 0.75), alpha=(0.0, 0.25, 0.5),
-            beta1=(-0.5, 0.0, 1.0, 2.0), beta2=(0.0, 0.5, 1.0),
+            b=(0.0, 0.25, 0.5, 0.75, math.nan), alpha=(0.0, 0.25, 0.5),
+            beta1=(-0.5, 0.0, 1.0, 2.0, math.inf), beta2=(0.0, 0.5, 1.0),
             k1=(0.0, 1.0, 2.0), k2=(0.0, 1.0, 2.0),
         )
         report = conjecture_scan(1, grid=grid, n_init=1, max_iter=1)
         on_bound = 0
-        for rec in report.records:
-            rates = report.cells[rec.cell]
+        for cell, rates in enumerate(report.cells):
             p = ModelParams(*rates)
-            assert (rec.verdict != "inadmissible") == p.admissible, p
+            assert (report.verdict[cell, 0] != "inadmissible") == p.admissible, p
+            if not np.all(np.isfinite(rates)):
+                assert not p.admissible, p
             if p.admissible and any(fn(*rates) == bound for _, fn, bound in _CONDITIONS):
                 on_bound += 1
         assert on_bound > 0
-        assert 0 < report.summary["inadmissible"] < len(report.records)
+        assert 0 < report.summary["inadmissible"] < report.verdict.size
 
     def test_determinism_same_seed(self):
         grid = GridSpec(
@@ -205,9 +203,14 @@ class TestConjectureScan:
         a = conjecture_scan(2, grid=grid, n_init=2, seed=9)
         c = conjecture_scan(2, grid=grid, n_init=2, seed=9)
         assert a.summary == c.summary
-        for ra, rc in zip(a.records, c.records):
-            assert (ra.verdict, ra.target, ra.iterations) == (rc.verdict, rc.target, rc.iterations)
-            assert ra.limit == rc.limit
+        assert np.array_equal(a.verdict, c.verdict)
+        assert np.array_equal(a.target, c.target)
+        assert np.array_equal(a.iterations, c.iterations)
+        assert np.array_equal(a.limit, c.limit, equal_nan=True)
+
+    def test_needs_an_initial_point(self):
+        with pytest.raises(ValueError, match="n_init must be >= 1"):
+            conjecture_scan(1, grid=default_grid(1), n_init=0)
 
     @pytest.mark.parametrize("options,summary,digest", [
         ({"max_iter": 100},

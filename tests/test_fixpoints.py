@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sisi import fixpoints
 from sisi.model import ModelParams, SimplexPoint, apply_V
 from sisi.fixpoints import (
     DegenerateRegime,
@@ -79,6 +80,37 @@ class TestInteriorQuadratic:
     def test_degenerate_leading_coefficient(self):
         with pytest.raises(DegenerateRegime):
             interior_quadratic(ModelParams(0.2, 0.3, 0.6, 0.0, 1.0, 1.0))
+
+    @staticmethod
+    def spy_root_finds(monkeypatch):
+        calls = []
+
+        def spy(f, lo, hi):
+            calls.append((lo, hi))
+            return bracketed_root(f, lo, hi)
+
+        monkeypatch.setattr(fixpoints, "bracketed_root", spy)
+        return calls
+
+    def test_cross_check_runs_between_two_positive_roots(self, monkeypatch):
+        # roots 0.2 and 13/60: [0.5r, 1.5r] around the larger root holds both
+        calls = self.spy_root_finds(monkeypatch)
+        quad = interior_quadratic(ModelParams(0.1, 0.5, 0.3, 0.5, 0.7, 1.0))
+        assert quad.roots == pytest.approx((0.2, 13 / 60), abs=1e-12)
+        assert len(calls) == 1
+        lo, hi = calls[0]
+        assert 0.2 < lo < 13 / 60 < hi
+
+    def test_cross_check_skips_roots_a_fold_apart(self, monkeypatch):
+        # roots 2.02310e-2 and 2.02314e-2: the balance gap is so flat between
+        # them that its bracketed root lands 1.3e-11 from the exact root,
+        # which the closed form matches to 5.5e-13
+        calls = self.spy_root_finds(monkeypatch)
+        p = ModelParams(0.18939696973581754, 0.2767837502669714, 0.9159323480762633,
+                        0.8943812889563291, 0.5042110717298325, 0.4280731368532068)
+        quad = interior_quadratic(p)
+        assert 0.0 < quad.roots[0] < quad.positive_root < quad.roots[0] * (1 + 1e-4)
+        assert calls == []
 
 
 class TestBracketedRoot:

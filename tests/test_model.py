@@ -1,5 +1,6 @@
 """Evolution operator, admissibility, and simplex invariants."""
 
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +44,15 @@ class TestValidateParams:
         with pytest.raises(NegativeParameter):
             validate_params(ModelParams(-0.1, 0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rate_is_malformed(self, value):
+        # inf*0 and NaN compare false against every bound, so no inequality
+        # can catch these; the rate check must
+        p = ModelParams(0.1, 0.1, value, 0.0, 0.0, 0.0)
+        with pytest.raises(NegativeParameter, match="finite"):
+            validate_params(p)
+        assert not p.admissible
+
     def test_each_inequality_can_fail_alone_or_not(self, rng):
         # wide draws: report must flag exactly the violated conditions
         for _ in range(200):
@@ -72,6 +82,10 @@ class TestSimplexPoint:
     def test_rejects_real_negatives(self):
         with pytest.raises(ValueError):
             SimplexPoint(1.0, -1e-9, 0.0, 0.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            SimplexPoint(math.nan, 0.0, 0.0, 1.0)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,17 @@
 """Heredity tensor: construction, axioms, and oracle equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 
-from sisi.model import InadmissibleParams, ModelParams, SimplexPoint, apply_V
+from sisi.model import (
+    InadmissibleParams,
+    ModelParams,
+    NegativeParameter,
+    SimplexPoint,
+    apply_V,
+)
 from sisi.tensor import (
     QsoTensor,
     apply_qso,
@@ -39,6 +47,12 @@ class TestBuildTensor:
         p = ModelParams(b=0.0, alpha=0.0, beta1=4.0, beta2=0.0, k1=0.0, k2=1.0)
         with pytest.raises(InadmissibleParams, match=r"P_\{\d\d,\d\} = .* outside"):
             build_tensor(p)
+
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_rate(self, value):
+        for validate in (True, False):
+            with pytest.raises(NegativeParameter):
+                build_tensor(ModelParams(0.1, value, 0.0, 0.0, 0.0, 0.0), validate=validate)
 
     def test_row_sums_exact_for_any_nonnegative_rates(self, rng):
         # stochasticity is an algebraic identity, admissible or not

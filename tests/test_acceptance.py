@@ -5,6 +5,8 @@ lines as they complete.  Tolerances are pinned here, not calibrated later.
 """
 
 import functools
+import hashlib
+import io
 import math
 import time
 
@@ -173,11 +175,21 @@ def test_criterion_8_grid_sweep():
         assert min(np.max(np.abs(pt - a)) for a in anchors) <= 1.0 / 50.0
 
 
+# sha256 of the seed-9 JSONL report per conjecture
+_SCAN_SHA256 = {
+    1: "d8218a77f7abddcf0e27aa8ca498ff55aba5bf1ee6eabb7824c9e8aa5cfbd6e4",
+    2: "aed2304b762bbeb4feebe5a848790a7433e392d6cc0078c5d2c083d74cc48523",
+}
+
+
 @criterion(9, "conjecture scans are deterministic and verdict-justified")
 def test_criterion_9_conjecture_scans():
     for conj in (1, 2):
         first = conjecture_scan(conj, seed=9)
         second = conjecture_scan(conj, seed=9)
+        buf = io.StringIO()
+        first.to_jsonl(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == _SCAN_SHA256[conj]
         assert first.summary == second.summary
         assert np.array_equal(first.verdict, second.verdict)
         assert np.array_equal(first.target, second.target)

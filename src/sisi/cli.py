@@ -47,6 +47,8 @@ from sisi.dynamics import (
 OK, DOMAIN_NEGATIVE, BAD_INPUT, NO_CONVERGENCE = 0, 1, 2, 3
 
 _PARAM_KEYS = ("b", "alpha", "beta1", "beta2", "k1", "k2")
+# Config keys of a single run; the scan fixes every one of them.
+_RUN_KEYS = (*_PARAM_KEYS, "init", "max_iter", "tol_step", "tol_fix", "grid")
 
 # (rates, initial point or None, kind) per figure preset
 _FIGURES: dict[int, tuple[tuple[float, ...], tuple[float, ...] | None, str]] = {
@@ -123,12 +125,16 @@ def _read_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-def _resolve(args) -> RunConfig:
+def _resolve(args, fixed: tuple[str, ...] = ()) -> RunConfig:
+    """The run configuration; a ``fixed`` key in the config is an error."""
     pairs: dict[str, str] = {}
     if getattr(args, "config", None):
         pairs.update(_read_config_file(args.config))
     if getattr(args, "params", None):
         pairs.update(_parse_pairs(args.params))
+    unread = [k for k in fixed if k in pairs]
+    if unread:
+        raise ConfigError(f"{args.command} does not read config key(s): {', '.join(unread)}")
 
     cfg = RunConfig()
     try:
@@ -353,7 +359,7 @@ def cmd_conjugacy(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = _resolve(args)
+    cfg = _resolve(args, fixed=_RUN_KEYS)
     report = conjecture_scan(args.conjecture, n_init=args.inits, seed=cfg.seed)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:

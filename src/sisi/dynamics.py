@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -775,7 +775,11 @@ class ScanReport:
     match_tol: float
 
     def to_jsonl(self, fh) -> None:
-        """A header line, then one JSON line per row in (cell, init) order."""
+        """A header line, then one JSON line per row in (cell, init) order.
+
+        Each line is what ``json.dumps(row, sort_keys=True)`` writes.  Rows
+        are rendered and written in blocks, so the file is never held whole.
+        """
         n_init = self.inits.shape[0]
         header = {
             "conjecture": self.conjecture,
@@ -788,33 +792,59 @@ class ScanReport:
             "summary": self.summary,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        params, points = self.cells.tolist(), self.inits.tolist()
-        rows = zip(self.verdict.ravel().tolist(), self.target.ravel().tolist(),
-                   self.distance.ravel().tolist(), self.iterations.ravel().tolist(),
-                   self.final_step.ravel().tolist(), self.limit.reshape(-1, 4).tolist())
-        for row, (verdict, target, distance, iterations, final_step, limit) in enumerate(rows):
-            cell, init = divmod(row, n_init)
-            payload = {
-                "cell": cell,
-                "init": init,
-                "params": params[cell],
-                "init_point": points[init],
-                "verdict": verdict,
-                "target": target,
-                "distance": distance,
-                "iterations": iterations,
-                "final_step": final_step,
-                "limit": None if verdict == "inadmissible" else limit,
-            }
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        params = [json.dumps(row) for row in self.cells.tolist()]
+        points = [json.dumps(row) for row in self.inits.tolist()]
+        verdict, target = self.verdict.ravel(), self.target.ravel()
+        labels = {v: json.dumps(v) for v in {*verdict.tolist(), *target.tolist()}}
+        distance, final_step = self.distance.ravel(), self.final_step.ravel()
+        iterations, limit = self.iterations.ravel(), self.limit.reshape(-1, 4)
+        for lo in range(0, verdict.size, _JSONL_BLOCK):
+            rows = slice(lo, lo + _JSONL_BLOCK)
+            limits = [f"[{x}, {u}, {y}, {v}]"
+                      for x, u, y, v in zip(*map(_json_floats, limit[rows].T))]
+            for i in np.flatnonzero(verdict[rows] == "inadmissible").tolist():
+                limits[i] = "null"
+            fh.write("".join(
+                f'{{"cell": {cell}, "distance": {dist}, "final_step": {step}, '
+                f'"init": {init}, "init_point": {points[init]}, '
+                f'"iterations": {n}, "limit": {lim}, "params": {params[cell]}, '
+                f'"target": {labels[tgt]}, "verdict": {labels[verd]}}}\n'
+                for (cell, init), verd, tgt, dist, n, step, lim in zip(
+                    map(divmod, range(lo, lo + len(limits)), repeat(n_init)),
+                    verdict[rows].tolist(), target[rows].tolist(),
+                    _json_floats(distance[rows]), iterations[rows].tolist(),
+                    _json_floats(final_step[rows]), limits)))
+
+
+# json's spelling of the non-finite floats, keyed by their repr
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSONL_BLOCK = 4096
+
+
+def _json_floats(a: np.ndarray) -> list[str]:
+    """The floats of a 1-D array, each as ``json.dumps`` writes it."""
+    text = list(map(float.__repr__, a.tolist()))
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        text[i] = _JSON_NONFINITE[text[i]]
+    return text
+
+
+def _sup_dist(a, b):
+    """Row-wise largest |a_i - b_i| over two tuples of column arrays."""
+    out = np.abs(a[0] - b[0])
+    for ai, bi in zip(a[1:], b[1:]):
+        np.maximum(out, np.abs(ai - bi), out=out)
+    return out
 
 
 def _batch_limits(params: np.ndarray, states: np.ndarray, max_iter: int,
                   tol_step: float, targets: np.ndarray, prox_tol: float):
     """Iterate many (rates, state) rows at once, freezing converged rows.
 
-    Freezes a row when its last step is <= tol_step or it comes within
-    prox_tol of its target (rows with a NaN target use the step rule only).
+    Every 16 steps, freezes a row when its last step is <= tol_step or it
+    is within prox_tol of its target (rows with a NaN target use the step
+    rule only).  The live rows are kept as columns, one array per
+    coordinate and rate, so the step runs on them without reshaping.
     Returns (final states, iterations, final steps).
     """
     n = states.shape[0]
@@ -823,36 +853,35 @@ def _batch_limits(params: np.ndarray, states: np.ndarray, max_iter: int,
     fstep = np.full(n, np.inf)
 
     live = np.arange(n)
-    cur = states.copy()
-    rates = [params[:, i].copy() for i in range(6)]
-    tgt = targets.copy()
+    cur = tuple(states.T.copy())
+    rates = tuple(params.T.copy())
+    tgt = tuple(targets.T.copy())
     done = 0
     CHUNK = 16
     while live.size and done < max_iter:
         span = min(CHUNK, max_iter - done)
-        state = tuple(cur.T)
+        prev = cur
         for _ in range(span - 1):
-            state = _step(*state, *rates)
-        prev = np.stack(state, axis=1)
-        cur = np.stack(_step(*state, *rates), axis=1)
+            prev = _step(*prev, *rates)
+        cur = _step(*prev, *rates)
         done += span
-        step = np.max(np.abs(cur - prev), axis=1)
+        step = _sup_dist(cur, prev)
         frozen = step <= tol_step
         with np.errstate(invalid="ignore"):
-            dist = np.max(np.abs(cur - tgt), axis=1)
-        frozen |= dist <= prox_tol
+            frozen |= _sup_dist(cur, tgt) <= prox_tol
         if done >= max_iter:
             frozen[:] = True
         if np.any(frozen):
             rows = live[frozen]
-            final[rows] = cur[frozen]
+            for i, col in enumerate(cur):
+                final[rows, i] = col[frozen]
             iters[rows] = done
             fstep[rows] = step[frozen]
             keep = ~frozen
             live = live[keep]
-            cur = cur[keep]
-            rates = [r[keep] for r in rates]
-            tgt = tgt[keep]
+            cur = tuple(col[keep] for col in cur)
+            rates = tuple(r[keep] for r in rates)
+            tgt = tuple(t[keep] for t in tgt)
     return final, iters, fstep
 
 
@@ -887,28 +916,30 @@ def conjecture_scan(
     rng = np.random.default_rng(seed)
     inits = np.stack([_floored_point(rng).as_array() for _ in range(n_init)])
 
-    # validate_params on every cell: rates finite and >= 0, no inequality violated
+    # validate_params on every cell: rates finite and >= 0, no inequality
+    # violated.  An infinite rate gives inf*0 = NaN terms, and targets divide
+    # by zero in cells without a claim; the claims need admissible cells, so
+    # those values are never read.
     b, al, b1, b2, k1, k2 = rates = cells.T
-    admissible = np.all(_rate_ok(cells), axis=1)
-    for _, value, bound in _CONDITIONS:
-        admissible &= ~(value(*rates) > bound)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        admissible = np.all(_rate_ok(cells), axis=1)
+        for _, value, bound in _CONDITIONS:
+            admissible &= ~(value(*rates) > bound)
 
-    bk = b1 * k1
-    joint = b + al
-    if conjecture == 1:
-        premise = admissible & (b2 == 0.0) & (b * al > 0.0)
-        claim_lam1 = premise & (bk <= joint)          # needs k2*v0 > 0: holds for interior inits
-        claim_other = premise & (bk > joint)          # needs u0 + v0 > 0: holds
-        other_label = "lambda_10"
-        with np.errstate(divide="ignore", invalid="ignore"):
+        bk = b1 * k1
+        joint = b + al
+        if conjecture == 1:
+            premise = admissible & (b2 == 0.0) & (b * al > 0.0)
+            claim_lam1 = premise & (bk <= joint)      # needs k2*v0 > 0: holds for interior inits
+            claim_other = premise & (bk > joint)      # needs u0 + v0 > 0: holds
+            other_label = "lambda_10"
             other_target = np.stack([*_lambda10_coordinates(b, al, bk), np.zeros_like(b)],
                                     axis=1)
-    else:
-        premise = admissible & (al * b * b1 * b2 * k1 * k2 > 0.0)
-        claim_lam1 = premise & (bk <= joint) & (b * joint >= al * b2 * k2)
-        claim_other = premise & (bk > joint)
-        other_label = "lambda_11"
-        with np.errstate(divide="ignore", invalid="ignore"):
+        else:
+            premise = admissible & (al * b * b1 * b2 * k1 * k2 > 0.0)
+            claim_lam1 = premise & (bk <= joint) & (b * joint >= al * b2 * k2)
+            claim_other = premise & (bk > joint)
+            other_label = "lambda_11"
             A = np.fmax(*_roots(*_quadratic(b, al, b1, b2, k1, k2)))
             A = np.where(A > 0.0, A, np.nan)
             other_target = np.stack(_interior_coordinates(b, al, b1, b2, A), axis=1)

@@ -227,14 +227,20 @@ def _step(x, u, y, v, b, al, b1, b2, k1, k2):
     """One application of the evolution operator, elementwise.
 
     Takes floats or equal-shape numpy arrays (one entry per row of a batch);
-    both give the same bits for the same inputs.
+    both give the same bits for the same inputs.  The three flows between
+    classes (``b1*A*x``, ``al*u``, ``b2*A*y``) are computed once, and each
+    output keeps the left-to-right operation order of its formula in the
+    module docstring.
     """
     A = k1 * u + k2 * v
+    infect1 = b1 * A * x
+    recover = al * u
+    infect2 = b2 * A * y
     return (
-        x + b - b * x - b1 * A * x,
-        u - b * u + b1 * A * x - al * u,
-        y - b * y + al * u - b2 * A * y,
-        v - b * v + b2 * A * y,
+        x + b - b * x - infect1,
+        u - b * u + infect1 - recover,
+        y - b * y + recover - infect2,
+        v - b * v + infect2,
     )
 
 

@@ -171,3 +171,25 @@ class TestScan:
         assert main(["scan", "--conjecture", "1", "--inits", "0",
                      "--out", str(out)]) == 2
         assert "n_init must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [
+        "max_iter=5", "tol_step=0.1", "tol_fix=0.1", "grid=10", "init=1,0,0,0",
+        "b=0.3", "alpha=0.1", "beta1=0.5", "beta2=0.1", "k1=1", "k2=0.3",
+    ], ids=lambda pair: pair.split("=")[0])
+    def test_unread_config_keys_are_rejected(self, pair, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"seed=3\n{pair}\n")
+        out = tmp_path / "scan.jsonl"
+        assert main(["scan", "--conjecture", "1", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert pair.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_seed_equals_flag(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("seed=3\n")
+        a, c = tmp_path / "a.jsonl", tmp_path / "c.jsonl"
+        args = ["scan", "--conjecture", "2", "--inits", "1"]
+        assert main([*args, "--config", str(cfg), "--out", str(a)]) == 0
+        assert main([*args, "--seed", "3", "--out", str(c)]) == 0
+        assert a.read_bytes() == c.read_bytes()

@@ -2,15 +2,20 @@
 
 import hashlib
 import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sisi.model import _CONDITIONS, ModelParams, SimplexPoint, iterate
+from sisi import dynamics
+from sisi.model import _CONDITIONS, ModelParams, SimplexPoint, _step, iterate
 from sisi.fixpoints import DegenerateRegime, interior_quadratic
 from sisi.dynamics import (
     GridSpec,
+    ScanReport,
+    _batch_limits,
     conjecture_scan,
     default_grid,
     detect_limit,
@@ -23,6 +28,67 @@ from sisi.dynamics import (
 FIG1 = ModelParams(b=0.6, alpha=0.2, beta1=0.5, beta2=0.0, k1=1.0, k2=0.3)
 FIG2 = ModelParams(b=0.1, alpha=0.2, beta1=0.5, beta2=0.0, k1=1.0, k2=0.3)
 WORKED = ModelParams(b=0.2, alpha=0.3, beta1=0.6, beta2=0.4, k1=1.0, k2=1.0)
+# One small grid with every verdict; (0.9, 0.2) cells are inadmissible.
+SMALL_GRID = GridSpec(
+    b=(0.1, 0.6, 0.9), alpha=(0.2, 0.5), beta1=(0.5,), beta2=(0.0, 0.1),
+    k1=(1.0,), k2=(0.3,),
+)
+
+
+def jsonl_by_json_dumps(report) -> list[str]:
+    """The scan report written one ``json.dumps`` per row, as a reference."""
+    n_init = report.inits.shape[0]
+    header = {
+        "conjecture": report.conjecture,
+        "seed": report.seed,
+        "n_cells": int(report.cells.shape[0]),
+        "n_init": n_init,
+        "max_iter": report.max_iter,
+        "tol_step": report.tol_step,
+        "match_tol": report.match_tol,
+        "summary": report.summary,
+    }
+    lines = [json.dumps(header, sort_keys=True)]
+    params, points = report.cells.tolist(), report.inits.tolist()
+    rows = zip(report.verdict.ravel().tolist(), report.target.ravel().tolist(),
+               report.distance.ravel().tolist(), report.iterations.ravel().tolist(),
+               report.final_step.ravel().tolist(), report.limit.reshape(-1, 4).tolist())
+    for row, (verdict, target, distance, iterations, final_step, limit) in enumerate(rows):
+        cell, init = divmod(row, n_init)
+        payload = {
+            "cell": cell,
+            "init": init,
+            "params": params[cell],
+            "init_point": points[init],
+            "verdict": verdict,
+            "target": target,
+            "distance": distance,
+            "iterations": iterations,
+            "final_step": final_step,
+            "limit": None if verdict == "inadmissible" else limit,
+        }
+        lines.append(json.dumps(payload, sort_keys=True))
+    return lines
+
+
+def scalar_limit(rates, state, max_iter, tol_step, target, prox_tol):
+    """One row of the batch kernel, stepped alone with the same checks.
+
+    Checks every 16 steps (and after the last); returns (state, iterations,
+    final step, stop rule).
+    """
+    done, step = 0, math.inf
+    while done < max_iter:
+        span = min(16, max_iter - done)
+        for _ in range(span):
+            prev, state = state, _step(*state, *rates)
+        done += span
+        step = max(abs(a - c) for a, c in zip(state, prev))
+        if step <= tol_step:
+            return state, done, step, "step"
+        if max(abs(a - t) for a, t in zip(state, target)) <= prox_tol:
+            return state, done, step, "proximity"
+    return state, done, step, "budget"
 
 
 class TestDetectLimit:
@@ -233,6 +299,82 @@ class TestConjectureScan:
         buf = io.StringIO()
         report.to_jsonl(buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_jsonl_equals_json_dumps_per_row(self, block, monkeypatch):
+        # also with blocks that split cells, and a last block that is short
+        if block is not None:
+            monkeypatch.setattr(dynamics, "_JSONL_BLOCK", block)
+        report = conjecture_scan(1, grid=SMALL_GRID, n_init=2, seed=5, max_iter=100)
+        buf = io.StringIO()
+        report.to_jsonl(buf)
+        assert buf.getvalue().splitlines() == jsonl_by_json_dumps(report)
+
+    def test_jsonl_non_finite_and_signed_zero(self):
+        # the scans never write these; json spells them NaN, Infinity, -Infinity
+        nan, inf = math.nan, math.inf
+        report = ScanReport(
+            conjecture=2, seed=1, grid=SMALL_GRID,
+            inits=np.array([[0.25, 0.25, 0.25, 0.25], [1.0, -0.0, 0.0, 0.0]]),
+            cells=np.array([[0.1, 0.2, 0.5, 0.0, 1.0, 0.3], [inf, -0.0, nan, 0.5, 1e-300, 2.0]]),
+            verdict=np.array([["match", "inconclusive"], ["inadmissible", "counterexample"]],
+                             dtype=object),
+            target=np.array([["lambda_1", None], [None, "lambda_11"]], dtype=object),
+            distance=np.array([[-0.0, inf], [nan, -inf]]),
+            iterations=np.array([[16, 20_000], [0, 5]]),
+            final_step=np.array([[inf, -inf], [nan, -0.0]]),
+            limit=np.array([[[1.0, -0.0, nan, 5e-324], [inf, -inf, 0.1, 1 / 3]],
+                            [[nan, nan, nan, nan], [-0.0, inf, nan, 2.0]]]),
+            summary={"match": 1, "inconclusive": 1, "inadmissible": 1, "counterexample": 1,
+                     "no-claim": 0},
+            max_iter=20_000, tol_step=1e-11, match_tol=1e-4,
+        )
+        buf = io.StringIO()
+        report.to_jsonl(buf)
+        lines = buf.getvalue().splitlines()
+        assert lines == jsonl_by_json_dumps(report)
+        for word in ("NaN", "Infinity", "-Infinity", "-0.0", "null"):
+            assert word in buf.getvalue()
+
+    def test_batch_kernel_equals_scalar_steps(self):
+        # rows stop on each rule: the step rule (NaN target or wrong target),
+        # proximity to lambda_1, and the budget at the threshold
+        # beta1*k1 = b + alpha (0.3 + 0.2 == 0.5 exactly); 1203 is not a
+        # multiple of 16, so the last chunk is short
+        cells = np.vstack([SMALL_GRID.cells(), [[0.3, 0.2, 0.5, 0.0, 1.0, 0.3]]])
+        cells = cells[[ModelParams(*c).admissible for c in cells]]
+        starts = np.array([[0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]])
+        params = np.repeat(cells, 2 * len(starts), axis=0)
+        states = np.tile(starts, (2 * len(cells), 1))
+        targets = np.tile(np.repeat([[1.0, 0.0, 0.0, 0.0], [np.nan] * 4], len(starts),
+                                    axis=0), (len(cells), 1))
+        options = dict(max_iter=1203, tol_step=1e-11, prox_tol=1e-8)
+        final, iters, fstep = _batch_limits(params, states, targets=targets, **options)
+        rules = set()
+        for i in range(len(params)):
+            state, n, step, rule = scalar_limit(tuple(params[i].tolist()), tuple(states[i].tolist()),
+                                                target=tuple(targets[i].tolist()), **options)
+            assert final[i].tolist() == list(state), i
+            assert (iters[i], fstep[i]) == (n, step), i
+            rules.add(rule)
+        assert rules == {"step", "proximity", "budget"}
+
+    @pytest.mark.parametrize("conjecture", [1, 2])
+    def test_infinite_rates_raise_no_warning(self, conjecture):
+        # inf*0 in the inequalities and the claims of cells that are inadmissible
+        axis = lambda value: (0.0, value, math.inf)  # noqa: E731
+        grids = [
+            GridSpec(b=(0.1,), alpha=(0.2,), beta1=(0.5,), beta2=(0.0,),
+                     k1=(1.0, math.inf), k2=(0.3,)),
+            GridSpec(b=axis(0.1), alpha=axis(0.2), beta1=axis(0.5), beta2=axis(0.1),
+                     k1=axis(1.0), k2=axis(0.3)),
+        ]
+        for grid in grids:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = conjecture_scan(conjecture, grid=grid, n_init=1, max_iter=1)
+            finite = np.all(np.isfinite(report.cells), axis=1)
+            assert np.all(report.verdict[~finite] == "inadmissible")
 
     def test_default_grids_cover_reference_cells(self):
         g1 = default_grid(1)

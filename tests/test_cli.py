@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -193,3 +194,48 @@ class TestScan:
         assert main([*args, "--config", str(cfg), "--out", str(a)]) == 0
         assert main([*args, "--seed", "3", "--out", str(c)]) == 0
         assert a.read_bytes() == c.read_bytes()
+
+
+class TestReportBytes:
+    # stdout sha256 and exit code of reports whose digits do not depend on
+    # the LAPACK build (classify's generic rows do, so it is left out)
+    RUN_CFG = "b=0.6\nalpha=0.2\nbeta1=0.5\nk1=1\nk2=0.3\ninit=0.1,0.01,0.2,0.69\nmax_iter=500\n"
+
+    @pytest.mark.parametrize("case", [
+        (["simulate", "--figure", "1"], 0,
+         "14c096fb582679dfc83c95f206c42e0585d8f8b21244fdf5ecc0eb98e838a3e5"),
+        (["simulate", "--figure", "2"], 0,
+         "374bc8409902cf3f00fc9bebbd7b6800ca48676a414e9d672fdcd728ecf9de8b"),
+        (["simulate", "--figure", "3"], 0,
+         "e88076264c7078e0687aae34fc240cbe9c5bb72f07700074adad01bd7abadabf"),
+        (["simulate", "--figure", "4"], 0,
+         "68bdfd4a1b99ab90a88e36990dada7a2d5917b2338edd8a8dc9058ef95fb90db"),
+        (["simulate", "--figure", "5"], 0,
+         "2b30218b60cab464b32c5a147497b44a23cc6325dfc927d481c0b6fcf8dc81e2"),
+        (["simulate", "--figure", "6"], 0,
+         "bd817f375e9e7b532200b4129a17dffa173b317023d9f2cd65c605a75c17b1ae"),
+        (["simulate", "--figure", "2", "--max-iter", "3"], 3,
+         "537d36c2c2cd69a7395b33f58dfa9e279f91f6b66672361ae00e37d27f5e8ca7"),
+        (["simulate", "--config", "{cfg}"], 0,
+         "6cf1357685ec8d063db383ad4625badae852deb7f2f9ff2ce86009ef9a027220"),
+        (["simulate", "--config", "{cfg}", "--max-iter", "7"], 3,
+         "9556a08ba6fde1ffdd8f1859a5b32ae4778de6e3b71c750fdc03d194d1422e84"),
+        (["fixpoints", "--figure", "4"], 0,
+         "99a7f7e4c6abc1f3df5f380b41f9dd50cee210f10c349b59282114539368fed4"),
+        (["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1", "--grid", "77",
+          "--root", "interior"], 0,
+         "eb1a2ff85cfbaf7b18d1992c33f382cd3eab08c48786bf9bcd68859238dc264c"),
+        (["tensor-dump", *FIG1_ARGS], 0,
+         "394c057d726f0798901e3c6b8400c7ab231c14fee7058311253ca15c27a0d14c"),
+        (["validate", *FIG1_ARGS], 0,
+         "d549baec4f336c7359e213fc4b93c3da2e40575aedf24b659885d2c0368a38fc"),
+        (["validate", "--params", "b=0.9", "alpha=0.5"], 1,
+         "491476dede7c7361330dbf42b89dc336ad9daf93eae2524547d6c442c30d682e"),
+    ], ids=lambda case: " ".join(case[0]))
+    def test_report_bytes_pinned(self, case, tmp_path, capsys):
+        argv, code, digest = case
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.RUN_CFG)
+        assert main([a.format(cfg=cfg) for a in argv]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

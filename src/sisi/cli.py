@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: validate, simulate, fixpoints, classify, conjugacy, scan,
-tensor-dump.  Configuration is a flat key=value file plus flag overrides;
-every report echoes the parsed configuration in canonical form, so
-identical configuration and seed produce byte-identical output.
+tensor-dump.  Configuration is a flat key=value file, then --params, then
+flags; ``_READS`` says what each subcommand reads, and any other key is an
+error.  Every report echoes the parsed configuration in canonical form,
+so identical configuration and seed produce byte-identical output.
 
 Exit codes: 0 ok, 1 negative domain result (inadmissible rates, failed
 identity, counterexample found), 2 malformed input, 3 non-convergence.
@@ -47,8 +48,6 @@ from sisi.dynamics import (
 OK, DOMAIN_NEGATIVE, BAD_INPUT, NO_CONVERGENCE = 0, 1, 2, 3
 
 _PARAM_KEYS = ("b", "alpha", "beta1", "beta2", "k1", "k2")
-# Config keys of a single run; the scan fixes every one of them.
-_RUN_KEYS = (*_PARAM_KEYS, "init", "max_iter", "tol_step", "tol_fix", "grid")
 
 # (rates, initial point or None, kind) per figure preset
 _FIGURES: dict[int, tuple[tuple[float, ...], tuple[float, ...] | None, str]] = {
@@ -112,75 +111,84 @@ def _parse_pairs(tokens) -> dict[str, str]:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed config line: {line!r}")
-            key, val = line.split("=", 1)
-            pairs[key.strip()] = val.strip()
-    return pairs
+        lines = [line.split("#", 1)[0].strip() for line in fh]
+    return _parse_pairs(line for line in lines if line)
 
 
-def _resolve(args, fixed: tuple[str, ...] = ()) -> RunConfig:
-    """The run configuration; a ``fixed`` key in the config is an error."""
-    pairs: dict[str, str] = {}
-    if getattr(args, "config", None):
-        pairs.update(_read_config_file(args.config))
-    if getattr(args, "params", None):
-        pairs.update(_parse_pairs(args.params))
-    unread = [k for k in fixed if k in pairs]
+def _point(text: str) -> SimplexPoint:
+    coords = [float(t) for t in text.split(",")]
+    if len(coords) != 4:
+        raise ConfigError("init needs four comma-separated coordinates")
+    return SimplexPoint(*coords)
+
+
+# Keys that a config file, --params or the flag of the same name may set,
+# and how each value is read.
+_PAIRS = {**dict.fromkeys(_PARAM_KEYS, float), "init": _point, "max_iter": int,
+          "tol_step": float, "tol_fix": float, "grid": int, "seed": int}
+
+# argparse settings of every flag but --config and --out, by key.
+_FLAGS = {
+    "params": dict(nargs="*", metavar="KEY=VALUE",
+                   help="rates: b, alpha, beta1, beta2, k1, k2 (missing keys default to 0)"),
+    "figure": dict(type=int, choices=sorted(_FIGURES), help="preset; fixes the rates and init"),
+    "init": dict(help="initial point as x,u,y,v"),
+    "max_iter": dict(type=int),
+    "tol_step": dict(type=float),
+    "tol_fix": dict(type=float),
+    "grid": dict(type=int, help="conjugacy grid points (default 10000)"),
+    "seed": dict(type=int, help="rng seed (default 0)"),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "root": dict(choices=("one", "interior"), default="one"),
+    "conjecture": dict(type=int, choices=(1, 2), required=True),
+    "inits": dict(type=int, default=5, help="initial points per cell"),
+}
+
+# What each subcommand reads besides --config and --out: these flags, and
+# those of these keys that are in _PAIRS from a config file or --params,
+# where "params" stands for the six rates.  Any other key is an error.
+_READS = {
+    "validate": ("params", "figure"),
+    "simulate": ("params", "figure", "init", "max_iter", "tol_step", "tol_fix"),
+    "fixpoints": ("params", "figure"),
+    "classify": ("params", "figure", "init", "format"),
+    "conjugacy": ("params", "figure", "grid", "root"),
+    "scan": ("seed", "conjecture", "inits"),
+    "tensor-dump": ("params", "figure"),
+}
+
+
+def _resolve(args) -> RunConfig:
+    """Config file, then --params, then flags; then one check of the keys.
+
+    A key the subcommand does not read is an error, and so is a rate or
+    ``init`` beside ``--figure``, whose preset fixes both.
+    """
+    opts = vars(args)
+    reads = _READS[args.command]
+    pairs = _read_config_file(args.config) if args.config else {}
+    pairs.update(_parse_pairs(opts.get("params") or ()))
+    pairs.update((k, v) for k, v in opts.items() if k in _PAIRS and v is not None)
+    readable = (*_PARAM_KEYS, *reads) if "params" in reads else reads
+    unread = [k for k in pairs if k not in _PAIRS or k not in readable]
     if unread:
-        raise ConfigError(f"{args.command} does not read config key(s): {', '.join(unread)}")
+        raise ConfigError(f"{args.command} does not read key(s): {', '.join(unread)}")
+    figure = opts.get("figure")
+    preset = [k for k in pairs if k in _PARAM_KEYS or k == "init"]
+    if figure is not None and preset:
+        raise ConfigError(f"--figure fixes the rates and init; drop {', '.join(preset)}")
 
-    cfg = RunConfig()
-    try:
-        if getattr(args, "figure", None) is not None:
-            fig = int(args.figure)
-            if fig not in _FIGURES:
-                raise ConfigError(f"unknown figure preset {fig}")
-            rates, init, kind = _FIGURES[fig]
-            cfg.figure = fig
-            cfg.kind = kind
-            cfg.params = ModelParams(*rates)
-            if init is not None:
-                cfg.init = SimplexPoint(*init)
-        elif any(k in pairs for k in _PARAM_KEYS):
-            cfg.params = ModelParams(*(float(pairs.get(k, "0")) for k in _PARAM_KEYS))
-
-        init_text = args.init if getattr(args, "init", None) else pairs.get("init")
-        if init_text and cfg.figure is None:
-            coords = [float(t) for t in init_text.split(",")]
-            if len(coords) != 4:
-                raise ConfigError("init needs four comma-separated coordinates")
-            cfg.init = SimplexPoint(*coords)
-
-        for key, cast, attr in (
-            ("seed", int, "seed"),
-            ("max_iter", int, "max_iter"),
-            ("tol_step", float, "tol_step"),
-            ("tol_fix", float, "tol_fix"),
-            ("grid", int, "grid"),
-        ):
-            if key in pairs:
-                setattr(cfg, attr, cast(pairs[key]))
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
-        if getattr(args, "max_iter", None) is not None:
-            cfg.max_iter = args.max_iter
-        if getattr(args, "grid", None) is not None:
-            cfg.grid = args.grid
-        if getattr(args, "tol_step", None) is not None:
-            cfg.tol_step = args.tol_step
-        if getattr(args, "tol_fix", None) is not None:
-            cfg.tol_fix = args.tol_fix
-        if getattr(args, "out", None):
-            cfg.out = args.out
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    values = {k: _PAIRS[k](v) for k, v in pairs.items()}
+    cfg = RunConfig(out=args.out,
+                    **{k: v for k, v in values.items() if k not in _PARAM_KEYS})
+    if figure is not None:
+        rates, init, cfg.kind = _FIGURES[figure]
+        cfg.figure, cfg.params = figure, ModelParams(*rates)
+        if init is not None:
+            cfg.init = SimplexPoint(*init)
+    elif any(k in values for k in _PARAM_KEYS):
+        cfg.params = ModelParams(*(values.get(k, 0.0) for k in _PARAM_KEYS))
     return cfg
 
 
@@ -286,47 +294,48 @@ def cmd_fixpoints(args) -> int:
     return OK
 
 
+def _csv_eigenvalues(cls) -> str:
+    return ",".join(_fmt(e.real) if e.imag == 0 else f"{_fmt(e.real)}{e.imag:+.17g}j"
+                    for e in cls.eigenvalues)
+
+
+def _json_eigenvalues(cls) -> list[list[float]]:
+    return [[e.real, e.imag] for e in cls.eigenvalues]
+
+
 def cmd_classify(args) -> int:
     cfg = _resolve(args)
     p = _require_params(cfg)
     closed = classify_lambda1(p)
+    generic = classify_at(LAMBDA1, p)
+    other = None if cfg.init is None else classify_at(cfg.init, p)
     lines = [f"# config: {cfg.echo()}"]
     if args.format == "csv":
         lines.append("path,point,classification,eig1,eig2,eig3,eig4")
-        eigs = ",".join(_fmt(e.real) for e in closed.eigenvalues)
-        lines.append(f"closed-form,lambda_1,{closed.classification},{eigs}")
-        generic = classify_at(LAMBDA1, p)
-        eigs = ",".join(
-            _fmt(e.real) if e.imag == 0 else f"{_fmt(e.real)}{e.imag:+.17g}j"
-            for e in generic.eigenvalues)
-        lines.append(f"generic,lambda_1,{generic.classification},{eigs}")
-        if cfg.init is not None:
-            other = classify_at(cfg.init, p)
-            eigs = ",".join(
-                _fmt(e.real) if e.imag == 0 else f"{_fmt(e.real)}{e.imag:+.17g}j"
-                for e in other.eigenvalues)
+        lines.append(f"closed-form,lambda_1,{closed.classification},{_csv_eigenvalues(closed)}")
+        lines.append(f"generic,lambda_1,{generic.classification},{_csv_eigenvalues(generic)}")
+        if other is not None:
             pt = ";".join(_fmt(c) for c in cfg.init.as_tuple())
-            lines.append(f"generic (outside analyzed scope),{pt},{other.classification},{eigs}")
+            lines.append(f"generic (outside analyzed scope),{pt},{other.classification},"
+                         f"{_csv_eigenvalues(other)}")
     else:
         payload = {
             "closed_form": {
                 "point": "lambda_1",
                 "classification": closed.classification,
-                "eigenvalues": [[e.real, e.imag] for e in closed.eigenvalues],
+                "eigenvalues": _json_eigenvalues(closed),
+            },
+            "generic": {
+                "point": "lambda_1",
+                "classification": generic.classification,
+                "eigenvalues": _json_eigenvalues(generic),
             },
         }
-        generic = classify_at(LAMBDA1, p)
-        payload["generic"] = {
-            "point": "lambda_1",
-            "classification": generic.classification,
-            "eigenvalues": [[e.real, e.imag] for e in generic.eigenvalues],
-        }
-        if cfg.init is not None:
-            other = classify_at(cfg.init, p)
+        if other is not None:
             payload["at_point"] = {
                 "point": list(cfg.init.as_tuple()),
                 "classification": other.classification,
-                "eigenvalues": [[e.real, e.imag] for e in other.eigenvalues],
+                "eigenvalues": _json_eigenvalues(other),
                 "note": "classification away from lambda_1 is outside the analyzed scope",
             }
         lines.append(json.dumps(payload, sort_keys=True))
@@ -359,7 +368,7 @@ def cmd_conjugacy(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = _resolve(args, fixed=_RUN_KEYS)
+    cfg = _resolve(args)
     report = conjecture_scan(args.conjecture, n_init=args.inits, seed=cfg.seed)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
@@ -382,53 +391,28 @@ def cmd_tensor_dump(args) -> int:
     return OK
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file; flags override")
-    sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--seed", type=int, help="rng seed (default 0)")
-
-
-def _add_run(sub: argparse.ArgumentParser) -> None:
-    """Rates, start point and iteration flags; the scan fixes all of these."""
-    sub.add_argument("--params", nargs="*", metavar="KEY=VALUE",
-                     help="rates: b, alpha, beta1, beta2, k1, k2 (missing keys default to 0)")
-    sub.add_argument("--init", help="initial point as x,u,y,v")
-    sub.add_argument("--figure", type=int, help="preset 1-6")
-    sub.add_argument("--max-iter", type=int, dest="max_iter")
-    sub.add_argument("--tol-step", type=float, dest="tol_step")
-    sub.add_argument("--tol-fix", type=float, dest="tol_fix")
-    sub.add_argument("--grid", type=int, help="grid size where applicable")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sisi",
         description="Discrete-time SISI epidemic operator on the 3-simplex",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn, extra in (
-        ("validate", cmd_validate, None),
-        ("simulate", cmd_simulate, None),
-        ("fixpoints", cmd_fixpoints, None),
-        ("classify", cmd_classify, "classify"),
-        ("conjugacy", cmd_conjugacy, "conjugacy"),
-        ("scan", cmd_scan, "scan"),
-        ("tensor-dump", cmd_tensor_dump, None),
-    ):
+    commands = {
+        "validate": cmd_validate,
+        "simulate": cmd_simulate,
+        "fixpoints": cmd_fixpoints,
+        "classify": cmd_classify,
+        "conjugacy": cmd_conjugacy,
+        "scan": cmd_scan,
+        "tensor-dump": cmd_tensor_dump,
+    }
+    for name, reads in _READS.items():
         sub = subs.add_parser(name)
-        _add_common(sub)
-        if extra != "scan":
-            _add_run(sub)
-        if extra == "classify":
-            sub.add_argument("--format", choices=("json", "csv"), default="json")
-        elif extra == "conjugacy":
-            sub.add_argument("--root", choices=("one", "interior"), default="one")
-        elif extra == "scan":
-            sub.add_argument("--conjecture", type=int, choices=(1, 2), required=True)
-            sub.add_argument("--inits", type=int, default=5,
-                             help="initial points per cell")
-        sub.set_defaults(fn=fn)
+        sub.add_argument("--config", help="key=value config file; flags override")
+        sub.add_argument("--out", help="output path (default stdout)")
+        for key in reads:
+            sub.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+        sub.set_defaults(fn=commands[name])
     return parser
 
 
@@ -440,9 +424,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, NegativeParameter) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
     except InadmissibleParams as exc:
         print(f"error: inadmissible rates: {exc}", file=sys.stderr)
         return BAD_INPUT

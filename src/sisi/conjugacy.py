@@ -172,6 +172,8 @@ def verify_conjugacy(p: ModelParams, grid_size: int = 10_000,
     The identity is polynomial in the rates, so the returned value is pure
     round-off (<= 1e-12) whenever the implementation is correct.
     """
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
     h = conjugacy_map(p, root)
     f = QuadraticMap1D.from_params(p)
     xs = np.linspace(0.0, 1.0, grid_size)

@@ -156,6 +156,8 @@ def detect_limit(
     require_admissible(p)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if not (tol_step >= 0.0 and tol_fix >= 0.0):
+        raise ValueError(f"tolerances must be >= 0: tol_step={tol_step!r}, tol_fix={tol_fix!r}")
     if catalog is None:
         catalog = fixed_point_set(p)
     anchors = [(fp.label, fp.point) for fp in catalog if fp.point is not None]

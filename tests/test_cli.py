@@ -76,6 +76,13 @@ class TestSimulate:
     def test_nan_init_is_bad_input(self):
         assert main(["simulate", *FIG1_ARGS, "--init", "nan,0.5,0.25,0.25"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--tol-step", "nan"], ["--tol-fix", "-1"]],
+                             ids=lambda flag: " ".join(flag))
+    def test_bad_tolerance_is_bad_input(self, flag, capsys):
+        # NaN never compares true, so a NaN tol_step would never stop a run
+        assert main(["simulate", "--figure", "2", *flag]) == 2
+        assert "tolerances must be >= 0" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -142,6 +149,11 @@ class TestConjugacy:
     def test_requires_infection_product(self):
         assert main(["conjugacy", "--params", "b=0.2"]) == 2
 
+    def test_empty_grid_is_bad_input(self, capsys):
+        assert main(["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1",
+                     "--grid", "0"]) == 2
+        assert "grid_size must be >= 1" in capsys.readouterr().err
+
 
 class TestScan:
     def test_small_scan_jsonl(self, tmp_path):
@@ -156,15 +168,22 @@ class TestScan:
         record = json.loads(lines[1])
         assert {"verdict", "params", "iterations"} <= set(record)
 
-    @pytest.mark.parametrize("flag", [
-        ["--max-iter", "5"], ["--tol-step", "1e-3"], ["--tol-fix", "1e-3"],
-        ["--params", "b=0.1"], ["--init", "1,0,0,0"], ["--figure", "1"],
-        ["--grid", "10"],
-    ], ids=lambda flag: flag[0])
-    def test_unread_flags_are_rejected(self, flag, tmp_path):
-        # the scan's grid, start points and tolerances are fixed
-        out = tmp_path / "scan.jsonl"
-        assert main(["scan", "--conjecture", "1", "--out", str(out), *flag]) == 2
+    @pytest.mark.parametrize("case", [
+        *(("scan", flag) for flag in (
+            ["--max-iter", "5"], ["--tol-step", "1e-3"], ["--tol-fix", "1e-3"],
+            ["--params", "b=0.1"], ["--init", "1,0,0,0"], ["--figure", "1"],
+            ["--grid", "10"])),
+        ("validate", ["--seed", "3"]), ("fixpoints", ["--max-iter", "5"]),
+        ("classify", ["--grid", "10"]), ("conjugacy", ["--init", "1,0,0,0"]),
+        ("tensor-dump", ["--tol-step", "1e-3"]), ("simulate", ["--seed", "3"]),
+        ("simulate", ["--grid", "10"]),
+    ], ids=lambda case: case[1][0] if case[0] == "scan" else f"{case[0]} {case[1][0]}")
+    def test_unread_flags_are_rejected(self, case, tmp_path):
+        # each subcommand registers only the flags it reads
+        command, flag = case
+        base = ["--conjecture", "1"] if command == "scan" else ["--figure", "1"]
+        out = tmp_path / "report"
+        assert main([command, *base, "--out", str(out), *flag]) == 2
         assert not out.exists()
 
     def test_no_initial_points_is_bad_input(self, tmp_path, capsys):
@@ -194,6 +213,46 @@ class TestScan:
         assert main([*args, "--config", str(cfg), "--out", str(a)]) == 0
         assert main([*args, "--seed", "3", "--out", str(c)]) == 0
         assert a.read_bytes() == c.read_bytes()
+
+
+class TestInputKeys:
+    @pytest.mark.parametrize("source", ["config", "params"])
+    @pytest.mark.parametrize("argv,pair", [
+        (["validate"], "beta_1=0.5"),
+        (["simulate", "--init", "0.1,0.01,0.2,0.69"], "max_itr=4"),
+        (["validate"], "seed=3"),
+        (["fixpoints"], "max_iter=5"),
+        (["conjugacy"], "init=1,0,0,0"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v.split("=")[0])
+    def test_unread_key_is_named(self, argv, pair, source, tmp_path, capsys):
+        # a typo'd rate key must not leave the rate at its default 0
+        rates = ["b=0.6", "alpha=0.2", "k1=1", "k2=0.3"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("\n".join([*rates, pair]) + "\n")
+            argv = [*argv, "--config", str(cfg)]
+        else:
+            argv = [*argv, "--params", *rates, pair]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert pair.split("=")[0] in captured.err
+
+    @pytest.mark.parametrize("command,extra,named", [
+        ("simulate", ["--params", "alpha=0.3"], "alpha"),
+        ("simulate", ["--init", "0.3,0.2,0.4,0.1"], "init"),
+        ("classify", ["--config", "{cfg}"], "k2, init"),
+        ("fixpoints", ["--params", "beta1=0.4"], "beta1"),
+        ("simulate", ["--config", "{cfg}", "--params", "beta1=0.4"], "k2, init, beta1"),
+    ], ids=["params", "init", "config", "fixpoints", "config+params"])
+    def test_figure_fixes_rates_and_init(self, command, extra, named, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k2=0.5\ninit=0.3,0.2,0.4,0.1\n")
+        argv = [command, "--figure", "1", *(a.format(cfg=cfg) for a in extra)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
 
 
 class TestReportBytes:

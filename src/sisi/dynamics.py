@@ -72,6 +72,14 @@ __all__ = [
 
 _LAMBDA1 = np.array([1.0, 0.0, 0.0, 0.0])
 
+# Rounding allowance of detect_limit's proximity skip.  Coordinates lie
+# within 1e-12 of [0, 1], so each computed difference of two coordinates
+# (hence each distance and each step) and each rounding in an update of the
+# slack is within 2**-53 of its exact value.  A reset or a decrement of the
+# slack carries at most three such errors, and the check's own distance one
+# more: 4 * 2**-52 = 8 * 2**-53 covers them.
+_SKIP_MARGIN = 4 * 2.0 ** -52
+
 SRC_NO_SUSCEPTIBILITY = "limit rule for beta1 = beta2 = 0 (no susceptibility)"
 SRC_RECOVERED_ONLY = ("limit rule for beta1 = 0, beta2 > 0 "
                       "(susceptibility only after recovery)")
@@ -145,6 +153,7 @@ def detect_limit(
     predicted: PredictedLimit | None = None,
     match_tol: float = LIMIT_TOL,
     catalog: list[FixedPoint] | None = None,
+    visited: list | None = None,
 ) -> LimitReport:
     """Iterate until the step size drops below ``tol_step``, the state comes
     within ``tol_fix`` of a cataloged fixed point, or ``max_iter`` steps.
@@ -152,21 +161,32 @@ def detect_limit(
     The dual stopping rule matters near nonhyperbolic boundaries, where
     step sizes shrink sub-geometrically.  Convergence is reported honestly:
     hitting ``max_iter`` yields ``converged=False`` with the data so far.
+
+    Proximity is checked exactly, against every cataloged point; the check
+    is skipped only on steps where a rounding-safe lower bound on the
+    distance to the catalog (the last checked distance minus every step
+    since) excludes a hit, so skipping changes no result.  Both tolerances
+    must be finite and >= 0.  When ``visited`` is a list, it receives
+    ``s0`` and then every state the loop moves to, as 4-tuples.
     """
     require_admissible(p)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if not (tol_step >= 0.0 and tol_fix >= 0.0):
-        raise ValueError(f"tolerances must be >= 0: tol_step={tol_step!r}, tol_fix={tol_fix!r}")
+    if not (0.0 <= tol_step < math.inf and 0.0 <= tol_fix < math.inf):
+        raise ValueError("tolerances must be >= 0 and finite: "
+                         f"tol_step={tol_step!r}, tol_fix={tol_fix!r}")
     if catalog is None:
         catalog = fixed_point_set(p)
-    anchors = [(fp.label, fp.point) for fp in catalog if fp.point is not None]
+    anchors = [(fp.label, fp.point.tolist()) for fp in catalog if fp.point is not None]
     rates = p.as_tuple()
 
     cur = s0.as_tuple()
+    if visited is not None:
+        visited.append(cur)
     applications = 0
     converged = False
     step = math.inf
+    slack = 0.0  # no bound yet: check after the first step
     while True:
         nxt = _step(*cur, *rates)
         step = max(abs(nxt[0] - cur[0]), abs(nxt[1] - cur[1]),
@@ -176,11 +196,19 @@ def detect_limit(
             break
         applications += 1
         cur = nxt
-        if any(max(abs(cur[0] - a[0]), abs(cur[1] - a[1]),
-                   abs(cur[2] - a[2]), abs(cur[3] - a[3])) <= tol_fix
-               for _, a in anchors):
-            converged = True
-            break
+        if visited is not None:
+            visited.append(cur)
+        # The sup-norm distance to any anchor falls by at most one step per
+        # step, so the check cannot fire while slack > 0.
+        slack -= step + _SKIP_MARGIN
+        if not slack > 0.0:
+            near = min((max(abs(cur[0] - a[0]), abs(cur[1] - a[1]),
+                            abs(cur[2] - a[2]), abs(cur[3] - a[3]))
+                        for _, a in anchors), default=math.inf)
+            if near <= tol_fix:
+                converged = True
+                break
+            slack = near - tol_fix - _SKIP_MARGIN
         if applications >= max_iter:
             break
 
@@ -192,7 +220,7 @@ def detect_limit(
         dist, label, a = min(dists, key=lambda t: t[0])
         if dist <= tol_fix:
             snapped = label
-            limit = a.copy()
+            limit = np.array(a)
 
     match = None
     deviation = None

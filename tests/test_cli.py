@@ -76,10 +76,13 @@ class TestSimulate:
     def test_nan_init_is_bad_input(self):
         assert main(["simulate", *FIG1_ARGS, "--init", "nan,0.5,0.25,0.25"]) == 2
 
-    @pytest.mark.parametrize("flag", [["--tol-step", "nan"], ["--tol-fix", "-1"]],
+    @pytest.mark.parametrize("flag", [["--tol-step", "nan"], ["--tol-fix", "-1"],
+                                      ["--tol-fix", "inf"], ["--tol-step", "inf"]],
                              ids=lambda flag: " ".join(flag))
     def test_bad_tolerance_is_bad_input(self, flag, capsys):
-        # NaN never compares true, so a NaN tol_step would never stop a run
+        # NaN never compares true, so a NaN tol_step would never stop a run;
+        # an infinite tol_fix snaps to a far fixed point and an infinite
+        # tol_step stops at the start
         assert main(["simulate", "--figure", "2", *flag]) == 2
         assert "tolerances must be >= 0" in capsys.readouterr().err
 

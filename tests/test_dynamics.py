@@ -8,12 +8,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import random_admissible, random_point
 from sisi import dynamics
-from sisi.model import _CONDITIONS, ModelParams, SimplexPoint, _step, iterate
-from sisi.fixpoints import DegenerateRegime, interior_quadratic
+from sisi.cli import _FIGURES
+from sisi.model import LIMIT_TOL, _CONDITIONS, ModelParams, SimplexPoint, _step, iterate
+from sisi.fixpoints import DegenerateRegime, fixed_point_set, interior_quadratic
 from sisi.dynamics import (
     GridSpec,
+    LimitReport,
     ScanReport,
     _batch_limits,
     conjecture_scan,
@@ -89,6 +94,134 @@ def scalar_limit(rates, state, max_iter, tol_step, target, prox_tol):
         if max(abs(a - t) for a, t in zip(state, target)) <= prox_tol:
             return state, done, step, "proximity"
     return state, done, step, "budget"
+
+
+def detect_limit_every_step(s0, p, max_iter=1_000_000, tol_step=1e-12, tol_fix=1e-10,
+                            predicted=None, match_tol=LIMIT_TOL):
+    """detect_limit checking proximity to every anchor on every step, as a reference."""
+    anchors = [(fp.label, fp.point) for fp in fixed_point_set(p) if fp.point is not None]
+    rates = p.as_tuple()
+    cur = s0.as_tuple()
+    applications = 0
+    converged = False
+    while True:
+        nxt = _step(*cur, *rates)
+        step = max(abs(nxt[0] - cur[0]), abs(nxt[1] - cur[1]),
+                   abs(nxt[2] - cur[2]), abs(nxt[3] - cur[3]))
+        if step <= tol_step:
+            converged = True
+            break
+        applications += 1
+        cur = nxt
+        if any(max(abs(cur[0] - a[0]), abs(cur[1] - a[1]),
+                   abs(cur[2] - a[2]), abs(cur[3] - a[3])) <= tol_fix
+               for _, a in anchors):
+            converged = True
+            break
+        if applications >= max_iter:
+            break
+    limit = np.array(cur) if converged else None
+    snapped = None
+    if converged and anchors:
+        dist, label, a = min(((max(abs(cur[i] - a[i]) for i in range(4)), label, a)
+                              for label, a in anchors), key=lambda t: t[0])
+        if dist <= tol_fix:
+            snapped, limit = label, a.copy()
+    match = deviation = None
+    if predicted is not None and converged:
+        match, deviation = predicted.check(limit, match_tol)
+    return LimitReport(converged, limit, applications, step, snapped, predicted,
+                       match, deviation)
+
+
+def report_bits(report):
+    """Every field of a LimitReport, floats and arrays as their bits."""
+    return (report.converged, report.iterations, float(report.final_step).hex(),
+            None if report.limit is None else report.limit.tobytes(), report.snapped,
+            report.match, None if report.deviation is None else float(report.deviation).hex())
+
+
+def assert_same_as_every_step(s0, p, **options):
+    pred = predicted_limit(s0, p)
+    got = detect_limit(s0, p, predicted=pred, **options)
+    want = detect_limit_every_step(s0, p, predicted=pred, **options)
+    assert report_bits(got) == report_bits(want), (p, s0, options)
+    return got
+
+
+# Dyadic rates, so that products such as beta1*k1 = b + alpha are exact.
+DYADIC = st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.75, 1.0))
+WEIGHT = st.integers(0, 8)
+
+
+class TestProximitySkip:
+    """detect_limit skips the proximity check only where it cannot fire."""
+
+    STARTS = ((0.25, 0.25, 0.25, 0.25), (0.7, 0.1, 0.1, 0.1), (0.05, 0.05, 0.3, 0.6))
+
+    @pytest.mark.parametrize("figure", sorted(_FIGURES))
+    def test_figures_equal_every_step_check(self, figure):
+        rates, init, _ = _FIGURES[figure]
+        p = ModelParams(*rates)
+        starts = self.STARTS if init is None else (init, *self.STARTS)
+        for start in starts:
+            assert_same_as_every_step(SimplexPoint(*start), p)
+
+    def test_sampling_box_equals_every_step_check(self):
+        rng = np.random.default_rng(6)
+        tols = (0.0, 1e-10, 1e-6, 1e-3)
+        for i in range(1_000):
+            p = random_admissible(rng)
+            s0 = SimplexPoint.from_array(random_point(rng))
+            assert_same_as_every_step(s0, p, max_iter=5_000, tol_fix=tols[i % 4])
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(rates=st.tuples(DYADIC, DYADIC, DYADIC, DYADIC, DYADIC, DYADIC),
+           weights=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT).filter(any),
+           tol_fix=st.sampled_from((0.0, 1e-10, 1e-6, 1e-3)))
+    @example(rates=(0.0, 0.25, 0.5, 0.0, 1.0, 0.5), weights=(1, 1, 1, 1), tol_fix=1e-6)
+    @example(rates=(0.25, 0.25, 0.5, 0.0, 1.0, 0.5), weights=(1, 2, 3, 4), tol_fix=1e-3)
+    @example(rates=(0.25, 0.25, 0.5, 0.25, 1.0, 0.5), weights=(4, 3, 2, 1), tol_fix=0.0)
+    def test_property_equals_every_step_check(self, rates, weights, tol_fix):
+        # the examples pin b = 0 and cells on beta1*k1 = b + alpha
+        p = ModelParams(*rates)
+        if not p.admissible:
+            return
+        total = sum(weights)
+        s0 = SimplexPoint(*(w / total for w in weights))
+        assert_same_as_every_step(s0, p, max_iter=3_000, tol_fix=tol_fix)
+
+    @pytest.mark.parametrize("start", [(0.1, 0.3, 0.2, 0.4), (0.2, 0.3, 0.1, 0.4),
+                                       (0.05, 0.9, 0.05, 0.0)])
+    def test_distance_falling_by_one_step_per_step(self, start):
+        # beta1 = beta2 = alpha = 0, b > 0: every gap to lambda_1 shrinks by
+        # the factor 1 - b, so the distance 1 - x falls by exactly one step
+        # per step and the bound on it is tight
+        p = ModelParams(0.25, 0.0, 0.0, 0.0, 1.0, 0.5)
+        s0 = SimplexPoint(*start)
+        states = []
+        report = assert_same_as_every_step(s0, p, tol_fix=1e-3)
+        detect_limit(s0, p, tol_fix=1e-3, visited=states)
+        gaps = [1.0 - x for x, *_ in states]
+        steps = [max(abs(a - c) for a, c in zip(nxt, cur))
+                 for cur, nxt in zip(states, states[1:])]
+        assert all(abs((g - h) - d) <= 1e-15 for g, h, d in zip(gaps, gaps[1:], steps))
+        assert report.snapped == "lambda_1"
+        assert gaps[-1] <= 1e-3 < gaps[-2]
+        # a tolerance equal to the distance at step n, as the check computes
+        # it, must stop the run at step n: rounding may not hide the hit
+        for n, state in enumerate(states[1:], start=1):
+            tol = max(abs(c - a) for c, a in zip(state, (1.0, 0.0, 0.0, 0.0)))
+            assert assert_same_as_every_step(s0, p, tol_fix=tol).iterations == n
+
+    def test_visited_receives_every_state(self):
+        s0 = SimplexPoint(0.3, 0.2, 0.4, 0.1)
+        for max_iter in (3, 1_000_000):
+            states = []
+            report = detect_limit(s0, FIG2, max_iter=max_iter, visited=states)
+            assert len(states) == report.iterations + 1
+            assert np.array_equal(np.array(states),
+                                  iterate(s0, FIG2, report.iterations).states)
 
 
 class TestDetectLimit:
@@ -260,6 +393,53 @@ class TestConjectureScan:
                 on_bound += 1
         assert on_bound > 0
         assert 0 < report.summary["inadmissible"] < report.verdict.size
+
+    @pytest.mark.parametrize("conjecture,grid", [
+        (1, SMALL_GRID),
+        (1, GridSpec(b=(0.0, 0.25, 0.5), alpha=(0.0, 0.125, 0.25), beta1=(0.0, 0.5, 1.0),
+                     beta2=(0.0, 0.25, 0.5), k1=(0.5, 1.0, 1.5), k2=(0.0, 0.5, 1.0))),
+        (2, GridSpec(b=(0.125, 0.25, 0.5), alpha=(0.0, 0.125, 0.25), beta1=(0.25, 0.5, 1.0),
+                     beta2=(0.0, 0.25, 0.5), k1=(0.5, 0.75, 1.0), k2=(0.5, 1.0, 1.25))),
+    ], ids=["small", "conj1", "conj2"])
+    def test_claims_agree_with_predicted_limit(self, conjecture, grid, monkeypatch):
+        # the scan's vectorized claim, row by row, against the dispatcher:
+        # the same target bits, and no claim exactly where no rule of the
+        # conjecture speaks; the dyadic grids have cells on beta1*k1 = b + alpha
+        claimed = []
+
+        def recording(*args, **kwargs):
+            claimed.extend(args[4])
+            return _batch_limits(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_batch_limits", recording)
+        report = conjecture_scan(conjecture, grid=grid, n_init=2, seed=3, max_iter=1)
+        source, other = ((dynamics.SRC_BOUNDARY_CONJ, "lambda_10") if conjecture == 1
+                         else (dynamics.SRC_INTERIOR_CONJ, "lambda_11"))
+        targets = iter(claimed)
+        labels, threshold = set(), 0
+        for cell, rates in enumerate(report.cells):
+            if report.verdict[cell, 0] == "inadmissible":
+                continue
+            b, al, b1, _, k1, _ = rates
+            p = ModelParams(*rates)
+            for init, s0 in enumerate(report.inits):
+                target, label = next(targets), report.target[cell, init]
+                pred = predicted_limit(SimplexPoint.from_array(s0), p)
+                if label is None:
+                    assert pred is None or pred.source != source, (rates, s0)
+                    assert np.all(np.isnan(target))
+                    continue
+                labels.add(label)
+                threshold += b1 * k1 == b + al
+                assert pred is not None, (rates, s0)
+                assert pred.target.tobytes() == target.tobytes(), (rates, s0, pred.regime)
+                if label == other:
+                    assert pred.source == source and pred.conjectural
+                else:
+                    assert label == "lambda_1" and target.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert next(targets, None) is None
+        assert labels == {"lambda_1", other}
+        assert threshold > 0 or grid is SMALL_GRID
 
     def test_determinism_same_seed(self):
         grid = GridSpec(

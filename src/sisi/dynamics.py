@@ -6,14 +6,15 @@ This module provides
 
 * :func:`detect_limit` -- honest numerical limit detection with a dual
   stopping rule (step size, proximity to the fixed-point catalog);
-* :func:`predicted_limit` -- the dispatcher encoding the proven limit
-  rules and the two conjectured dichotomies, with conjectural predictions
-  flagged as such;
+* :func:`predicted_limit` -- the target of the first rule that holds in
+  ``_RULES``, one ordered table of the proven limit rules and the two
+  conjectured dichotomies, with conjectural predictions flagged as such;
 * :func:`verify_proposition` -- randomized agreement suites per regime;
-* :func:`conjecture_scan` -- deterministic grid scans that give every
-  (cell, initial point) row a verdict against the conjectured target,
-  returned as a :class:`ScanReport` of per-row columns (a counterexample
-  is reported, never suppressed);
+* :func:`conjecture_scan` -- deterministic grid scans that read the same
+  table on columns, claim a (cell, initial point) row exactly when its
+  first rule is the conjecture's, and give every row a verdict, returned
+  as a :class:`ScanReport` of per-row columns (a counterexample is
+  reported, never suppressed);
 * :func:`equilibrium_curves` -- the linear-vs-saturating curve pair whose
   intersections are the interior equilibrium forces of infection.
 """
@@ -22,14 +23,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
 from sisi.model import (
     LIMIT_TOL,
     ModelParams,
+    RESIDUAL_TOL,
     SimplexPoint,
     _CONDITIONS,
     _rate_ok,
@@ -39,18 +43,14 @@ from sisi.model import (
 from sisi.fixpoints import (
     DegenerateRegime,
     FixedPoint,
-    NoInteriorPoint,
     _interior_coordinates,
+    _lambda9_coordinates,
     _lambda10_coordinates,
     _quadratic,
     _roots,
     bracketed_root,
     fixed_point_set,
-    interior_fixed_point,
     interior_quadratic,
-    lambda9_point,
-    lambda10_point,
-    residual,
 )
 
 __all__ = [
@@ -69,8 +69,6 @@ __all__ = [
     "default_grid",
     "equilibrium_curves",
 ]
-
-_LAMBDA1 = np.array([1.0, 0.0, 0.0, 0.0])
 
 # Rounding allowance of detect_limit's proximity skip.  Coordinates lie
 # within 1e-12 of [0, 1], so each computed difference of two coordinates
@@ -238,137 +236,148 @@ def detect_limit(
     )
 
 
-def predicted_limit(s0: SimplexPoint, p: ModelParams) -> PredictedLimit | None:
-    """The limit target the regime rules assign to (s0, p), if any.
+@dataclass(frozen=True)
+class _Rule:
+    """Where the premise of ``source`` (see ``_PREMISES``) and ``when`` hold,
+    and no earlier rule does, the limit is ``target``: a label of ``_POINTS``
+    or the four coordinates, NaN where the limit depends on the start.  All
+    three take :func:`_inputs` and work elementwise."""
 
-    Returns None for parameter/initial-point combinations no rule covers;
-    nothing is guessed.  Conjecture-backed targets carry
-    ``conjectural=True``.
+    regime: str
+    source: str
+    when: Callable
+    target: str | Callable
+    conjectural: bool = False
+    note: str = ""
+
+
+def _fixed(point, rates, tol):
+    """Whether one step moves no coordinate of ``point`` (four floats or
+    broadcastable columns) by more than ``tol``, elementwise; NaN is not."""
+    moved = [abs(image - c) <= tol for image, c in zip(_step(*point, *rates), point)]
+    return moved[0] & moved[1] & moved[2] & moved[3]
+
+
+def _inputs(rates, start) -> SimpleNamespace:
+    """The rates, the start and what the rules derive from them, elementwise."""
+    b, al, b1, b2, k1, k2 = rates
+    x, u, y, v = start
+    return SimpleNamespace(b=b, al=al, b1=b1, b2=b2, k1=k1, k2=k2, x=x, u=u, y=y, v=v,
+                           A0=k1 * u + k2 * v, bk=b1 * k1, joint=b + al,
+                           fixed=_fixed(start, rates, 1e-13))
+
+
+def _root(a):
+    """The interior quadratic's largest root, elementwise (NaN where none)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmax(*_roots(*_quadratic(a.b, a.al, a.b1, a.b2, a.k1, a.k2)))
+
+
+_POINTS = {  # catalog points fixed by the rates alone
+    "lambda_1": lambda a: (1.0, 0.0, 0.0, 0.0),
+    "lambda_9": lambda a: (*_lambda9_coordinates(a.b, a.bk), 0.0, 0.0),
+    "lambda_10": lambda a: (*_lambda10_coordinates(a.b, a.al, a.bk), 0.0),
+    "lambda_11": lambda a: _interior_coordinates(a.b, a.al, a.b1, a.b2, _root(a)),
+}
+
+# The rate regime each source names; a rule holds only inside its source's
+_PREMISES = {
+    SRC_FIXED_START: lambda a: a.fixed,
+    SRC_INTERIOR_CONJ: lambda a: a.al * a.b * a.b1 * a.b2 * a.k1 * a.k2 > 0.0,
+    SRC_NO_SUSCEPTIBILITY: lambda a: (a.b1 == 0.0) & (a.b2 == 0.0),
+    # a start with A0 = 0 is fixed when b = alpha = 0
+    SRC_NO_TURNOVER: lambda a: (a.b == 0.0) & (a.al == 0.0) & (a.A0 > 0.0),
+    SRC_RECOVERED_ONLY: lambda a: (a.b1 == 0.0) & (a.b2 > 0.0),
+    SRC_NO_RECOVERY: lambda a: (a.al == 0.0) & (a.k2 == 0.0) & (a.b > 0.0),
+    SRC_NO_REINFECTION: lambda a: (a.b2 == 0.0) & (a.b1 > 0.0) & (a.al > 0.0),
+    SRC_BOUNDARY_CONJ: lambda a: (a.b2 == 0.0) & (a.b1 > 0.0) & (a.b > 0.0) & (a.al > 0.0),
+}
+
+# The rules in the order they are tried; where none holds, nothing is
+# predicted.  A condition omits what an earlier rule already took.
+_RULES = (
+    _Rule("fixed-initial", SRC_FIXED_START, lambda a: True, lambda a: (a.x, a.u, a.y, a.v)),
+    # all six rates positive, the generic case: no later rule can hold
+    _Rule("interior-conjecture/u0=v0=0", SRC_INTERIOR_CONJ,
+          lambda a: (a.u == 0.0) & (a.v == 0.0), "lambda_1"),
+    _Rule("interior-conjecture/beta1k1<=b+alpha", SRC_INTERIOR_CONJ,
+          lambda a: (a.bk <= a.joint) & (a.b * a.joint >= a.al * a.b2 * a.k2),
+          "lambda_1", conjectural=True),
+    _Rule("interior-conjecture/beta1k1>b+alpha", SRC_INTERIOR_CONJ,
+          lambda a: (a.bk > a.joint) & (_root(a) > 0.0), "lambda_11", conjectural=True),
+    # with b = alpha = 0 as well, every start is fixed
+    _Rule("no-susceptibility/b=0,alpha>0", SRC_NO_SUSCEPTIBILITY,
+          lambda a: (a.b == 0.0) & (a.al > 0.0), lambda a: (a.x, 0.0, 1.0 - a.x - a.v, a.v)),
+    _Rule("no-susceptibility/b>0", SRC_NO_SUSCEPTIBILITY, lambda a: a.b > 0.0, "lambda_1"),
+    _Rule("no-turnover/beta1=0,beta2>0", SRC_NO_TURNOVER,
+          lambda a: (a.b1 == 0.0) & (a.b2 > 0.0), lambda a: (a.x, a.u, 0.0, 1.0 - a.x - a.u)),
+    _Rule("no-turnover/beta1>0,beta2=0", SRC_NO_TURNOVER,
+          lambda a: (a.b1 > 0.0) & (a.b2 == 0.0), lambda a: (0.0, 1.0 - a.y - a.v, a.y, a.v)),
+    _Rule("no-turnover/beta1>0,beta2>0", SRC_NO_TURNOVER,
+          lambda a: (a.b1 > 0.0) & (a.b2 > 0.0) & (a.k1 * a.k2 > 0.0),
+          lambda a: (0.0, np.nan, 0.0, np.nan),
+          note="the u-limit is >= u0 and depends on the initial point; v-limit = 1 - u-limit"),
+    _Rule("recovered-susceptibility/b>0,alpha=0", SRC_RECOVERED_ONLY,
+          lambda a: (a.b > 0.0) & (a.al == 0.0), "lambda_1"),
+    _Rule("recovered-susceptibility/b>0,alpha>0", SRC_RECOVERED_ONLY,
+          lambda a: (a.b > 0.0) & (a.al > 0.0), "lambda_1"),
+    _Rule("recovered-susceptibility/b=0,alpha>0,k2=0", SRC_RECOVERED_ONLY,
+          lambda a: (a.al > 0.0) & (a.k2 == 0.0), lambda a: (a.x, 0.0, np.nan, np.nan),
+          note="the y-limit depends on the initial point; v = 1 - x0 - y"),
+    _Rule("recovered-susceptibility/b=0,alpha>0,k2>0", SRC_RECOVERED_ONLY,
+          lambda a: (a.al > 0.0) & (a.A0 > 0.0), lambda a: (a.x, 0.0, 0.0, 1.0 - a.x)),
+    _Rule("no-recovery/disease-free", SRC_NO_RECOVERY,
+          lambda a: (a.u == 0.0) | (a.bk <= a.b), "lambda_1"),
+    _Rule("no-recovery/persistent", SRC_NO_RECOVERY, lambda a: True, "lambda_9"),
+    _Rule("no-reinfection/b=0,A0=0", SRC_NO_REINFECTION,
+          lambda a: (a.b == 0.0) & (a.A0 == 0.0), lambda a: (a.x, 0.0, 1.0 - a.x - a.v, a.v)),
+    _Rule("no-reinfection/b=0,k2v0>0", SRC_NO_REINFECTION,
+          lambda a: (a.b == 0.0) & (a.k2 * a.v > 0.0), lambda a: (0.0, 0.0, 1.0 - a.v, a.v)),
+    _Rule("no-reinfection/b=0,k2v0=0,k1u0>0", SRC_NO_REINFECTION,
+          lambda a: (a.b == 0.0) & (a.k1 * a.u > 0.0), lambda a: (np.nan, 0.0, np.nan, a.v),
+          note="the x-limit depends on the initial point; y = 1 - x - v0"),
+    _Rule("no-reinfection/b*alpha>0,A0=0", SRC_NO_REINFECTION,
+          lambda a: (a.b > 0.0) & (a.A0 == 0.0), "lambda_1"),
+    _Rule("no-reinfection/b*alpha>0,k2v0=0,beta1k1<=b+alpha", SRC_NO_REINFECTION,
+          lambda a: (a.b > 0.0) & (a.k2 * a.v == 0.0) & (a.bk <= a.joint), "lambda_1"),
+    _Rule("boundary-conjecture/beta1k1<=b+alpha", SRC_BOUNDARY_CONJ,
+          lambda a: (a.bk <= a.joint) & (a.k2 * a.v > 0.0), "lambda_1", conjectural=True),
+    _Rule("boundary-conjecture/beta1k1>b+alpha", SRC_BOUNDARY_CONJ,
+          lambda a: (a.bk > a.joint) & (a.u + a.v > 0.0), "lambda_10", conjectural=True),
+)
+
+
+def _apply_rules(rates, start) -> tuple[np.ndarray, np.ndarray]:
+    """The table on broadcastable rate and start columns: each row's first
+    rule that holds, as an index into ``_RULES`` (-1 for none), and its
+    target with a last axis of 4 (NaN for none).  Rows whose rates are not
+    admissible get an arbitrary rule."""
+    a = _inputs(rates, start)
+    held = [_PREMISES[rule.source](a) & rule.when(a) for rule in _RULES]
+    first = np.select(held, list(range(len(_RULES))), -1)
+    targets = np.full(first.shape + (4,), np.nan)
+    for i in np.unique(first[first >= 0]).tolist():
+        target = _RULES[i].target
+        coords = [np.broadcast_to(c, first.shape) for c in _POINTS.get(target, target)(a)]
+        targets[first == i] = np.stack(coords, axis=-1)[first == i]
+    return first, targets
+
+
+def predicted_limit(s0: SimplexPoint, p: ModelParams) -> PredictedLimit | None:
+    """The target of the first rule of ``_RULES`` that holds for (s0, p), or
+    None where none does; nothing is guessed.  Conjecture-backed targets carry
+    ``conjectural=True``; a catalog point not fixed raises ArithmeticError.
     """
     require_admissible(p)
-    b, al, b1, b2, k1, k2 = p.as_tuple()
-    x0, u0, y0, v0 = s0.as_tuple()
-    A0 = k1 * u0 + k2 * v0
-    arr = s0.as_array()
-
-    if residual(arr, p) <= 1e-13:
-        return PredictedLimit("fixed-initial", SRC_FIXED_START, arr.copy())
-
-    # no susceptibility at all
-    if b1 == 0.0 and b2 == 0.0:
-        if b == 0.0 and al > 0.0:
-            return PredictedLimit(
-                "no-susceptibility/b=0,alpha>0", SRC_NO_SUSCEPTIBILITY,
-                np.array([x0, 0.0, 1.0 - x0 - v0, v0]))
-        if b > 0.0:
-            return PredictedLimit(
-                "no-susceptibility/b>0", SRC_NO_SUSCEPTIBILITY, _LAMBDA1.copy())
-        return None  # b = alpha = 0 is the identity; caught as fixed-initial
-
-    # no turnover: b = alpha = 0 (any point with A0 = 0 is fixed, so A0 > 0 here
-    # unless the rates make the whole simplex fixed)
-    if b == 0.0 and al == 0.0:
-        if A0 <= 0.0:
-            return None
-        if b1 == 0.0 and b2 > 0.0:
-            return PredictedLimit(
-                "no-turnover/beta1=0,beta2>0", SRC_NO_TURNOVER,
-                np.array([x0, u0, 0.0, 1.0 - x0 - u0]))
-        if b1 > 0.0 and b2 == 0.0:
-            return PredictedLimit(
-                "no-turnover/beta1>0,beta2=0", SRC_NO_TURNOVER,
-                np.array([0.0, 1.0 - y0 - v0, y0, v0]))
-        if b1 > 0.0 and b2 > 0.0 and k1 * k2 > 0.0:
-            return PredictedLimit(
-                "no-turnover/beta1>0,beta2>0", SRC_NO_TURNOVER,
-                np.array([0.0, np.nan, 0.0, np.nan]),
-                note=("the u-limit is >= u0 and depends on the initial "
-                      "point; v-limit = 1 - u-limit"))
+    a = _inputs(p.as_tuple(), s0.as_tuple())
+    rule = next((rule for rule in _RULES if _PREMISES[rule.source](a) and rule.when(a)), None)
+    if rule is None:
         return None
-
-    # susceptibility only after recovery
-    if b1 == 0.0 and b2 > 0.0:
-        if b > 0.0:
-            regime = ("recovered-susceptibility/b>0,alpha=0" if al == 0.0
-                      else "recovered-susceptibility/b>0,alpha>0")
-            return PredictedLimit(regime, SRC_RECOVERED_ONLY, _LAMBDA1.copy())
-        if al > 0.0 and k2 == 0.0:
-            return PredictedLimit(
-                "recovered-susceptibility/b=0,alpha>0,k2=0", SRC_RECOVERED_ONLY,
-                np.array([x0, 0.0, np.nan, np.nan]),
-                note="the y-limit depends on the initial point; v = 1 - x0 - y")
-        if al > 0.0 and k2 > 0.0 and A0 > 0.0:
-            return PredictedLimit(
-                "recovered-susceptibility/b=0,alpha>0,k2>0", SRC_RECOVERED_ONLY,
-                np.array([x0, 0.0, 0.0, 1.0 - x0]))
-        return None
-
-    # no recovery and non-infectious second class: dynamics close on (x, u)
-    if al == 0.0 and k2 == 0.0 and b > 0.0:
-        if u0 == 0.0 or b1 * k1 <= b:
-            return PredictedLimit(
-                "no-recovery/disease-free", SRC_NO_RECOVERY, _LAMBDA1.copy())
-        return PredictedLimit(
-            "no-recovery/persistent", SRC_NO_RECOVERY, lambda9_point(p))
-
-    # recovered never reinfected
-    if b2 == 0.0 and b1 > 0.0:
-        if b == 0.0 and al > 0.0:
-            if A0 == 0.0:
-                return PredictedLimit(
-                    "no-reinfection/b=0,A0=0", SRC_NO_REINFECTION,
-                    np.array([x0, 0.0, 1.0 - x0 - v0, v0]))
-            if k2 * v0 > 0.0:
-                return PredictedLimit(
-                    "no-reinfection/b=0,k2v0>0", SRC_NO_REINFECTION,
-                    np.array([0.0, 0.0, 1.0 - v0, v0]))
-            if k1 * u0 > 0.0:
-                return PredictedLimit(
-                    "no-reinfection/b=0,k2v0=0,k1u0>0", SRC_NO_REINFECTION,
-                    np.array([np.nan, 0.0, np.nan, v0]),
-                    note=("the x-limit depends on the initial point; "
-                          "y = 1 - x - v0"))
-            return None
-        if b > 0.0 and al > 0.0:
-            if A0 == 0.0:
-                return PredictedLimit(
-                    "no-reinfection/b*alpha>0,A0=0", SRC_NO_REINFECTION,
-                    _LAMBDA1.copy())
-            if k2 * v0 == 0.0 and b1 * k1 <= b + al:
-                return PredictedLimit(
-                    "no-reinfection/b*alpha>0,k2v0=0,beta1k1<=b+alpha",
-                    SRC_NO_REINFECTION, _LAMBDA1.copy())
-            if b1 * k1 <= b + al and k2 * v0 > 0.0:
-                return PredictedLimit(
-                    "boundary-conjecture/beta1k1<=b+alpha", SRC_BOUNDARY_CONJ,
-                    _LAMBDA1.copy(), conjectural=True)
-            if b1 * k1 > b + al and u0 + v0 > 0.0:
-                return PredictedLimit(
-                    "boundary-conjecture/beta1k1>b+alpha", SRC_BOUNDARY_CONJ,
-                    lambda10_point(p), conjectural=True)
-        return None
-
-    # every rate positive
-    if al * b * b1 * b2 * k1 * k2 > 0.0:
-        if u0 == 0.0 and v0 == 0.0:
-            return PredictedLimit(
-                "interior-conjecture/u0=v0=0", SRC_INTERIOR_CONJ,
-                _LAMBDA1.copy())
-        if b1 * k1 > b + al:
-            try:
-                target = interior_fixed_point(p).point
-            except NoInteriorPoint:
-                return None
-            return PredictedLimit(
-                "interior-conjecture/beta1k1>b+alpha", SRC_INTERIOR_CONJ,
-                target, conjectural=True)
-        if b * (b + al) >= al * b2 * k2:
-            return PredictedLimit(
-                "interior-conjecture/beta1k1<=b+alpha", SRC_INTERIOR_CONJ,
-                _LAMBDA1.copy(), conjectural=True)
-        return None
-
-    return None
+    target = np.array(_POINTS.get(rule.target, rule.target)(a))
+    # a catalog point that is not fixed comes from a wrong closed form
+    if rule.target in _POINTS and not _fixed(target.tolist(), p.as_tuple(), RESIDUAL_TOL):
+        raise ArithmeticError(f"{rule.regime}: target {target} is not fixed")
+    return PredictedLimit(rule.regime, rule.source, target, rule.conjectural, rule.note)
 
 
 # --------------------------------------------------------------------------
@@ -947,40 +956,25 @@ def conjecture_scan(
     inits = np.stack([_floored_point(rng).as_array() for _ in range(n_init)])
 
     # validate_params on every cell: rates finite and >= 0, no inequality
-    # violated.  An infinite rate gives inf*0 = NaN terms, and targets divide
-    # by zero in cells without a claim; the claims need admissible cells, so
-    # those values are never read.
-    b, al, b1, b2, k1, k2 = rates = cells.T
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # violated.  An infinite rate gives inf*0 = NaN terms, and the rules'
+    # targets divide by zero on rows they do not take; those are never read.
+    rates = cells.T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         admissible = np.all(_rate_ok(cells), axis=1)
         for _, value, bound in _CONDITIONS:
             admissible &= ~(value(*rates) > bound)
+        first, targets = _apply_rules(tuple(rates[:, :, None]), tuple(inits.T[:, None, :]))
 
-        bk = b1 * k1
-        joint = b + al
-        if conjecture == 1:
-            premise = admissible & (b2 == 0.0) & (b * al > 0.0)
-            claim_lam1 = premise & (bk <= joint)      # needs k2*v0 > 0: holds for interior inits
-            claim_other = premise & (bk > joint)      # needs u0 + v0 > 0: holds
-            other_label = "lambda_10"
-            other_target = np.stack([*_lambda10_coordinates(b, al, bk), np.zeros_like(b)],
-                                    axis=1)
-        else:
-            premise = admissible & (al * b * b1 * b2 * k1 * k2 > 0.0)
-            claim_lam1 = premise & (bk <= joint) & (b * joint >= al * b2 * k2)
-            claim_other = premise & (bk > joint)
-            other_label = "lambda_11"
-            A = np.fmax(*_roots(*_quadratic(b, al, b1, b2, k1, k2)))
-            A = np.where(A > 0.0, A, np.nan)
-            other_target = np.stack(_interior_coordinates(b, al, b1, b2, A), axis=1)
-
-    targets = np.full((n_cells, 4), np.nan)
-    target_label = np.full(n_cells, None, dtype=object)
-    targets[claim_lam1] = _LAMBDA1
-    target_label[claim_lam1] = "lambda_1"
-    targets[claim_other] = other_target[claim_other]
-    target_label[claim_other] = other_label
-    claim = claim_lam1 | claim_other
+    # an admissible row is claimed when its first rule is one of the
+    # conjecture's; its label is that rule's catalog point (-1: None)
+    source = SRC_BOUNDARY_CONJ if conjecture == 1 else SRC_INTERIOR_CONJ
+    labels = [rule.target if rule.source == source else None for rule in _RULES]
+    target_label = np.array(labels + [None], dtype=object)[
+        np.where(admissible[:, None], first, -1)]
+    claim = target_label.astype(bool)
+    targets[~claim] = np.nan
+    if not np.all(_fixed(tuple(targets[claim].T), cells[np.nonzero(claim)[0]].T, RESIDUAL_TOL)):
+        raise ArithmeticError("a claimed target is not fixed")
 
     # evolve every admissible (cell, init) row; inadmissible rows stay NaN
     limit = np.full((n_cells, n_init, 4), np.nan)
@@ -989,15 +983,15 @@ def conjecture_scan(
     cell_idx = np.repeat(np.arange(n_cells)[admissible], n_init)
     init_idx = np.tile(np.arange(n_init), int(admissible.sum()))
     final, iters, fstep = _batch_limits(
-        cells[cell_idx], inits[init_idx], max_iter, tol_step, targets[cell_idx],
-        prox_tol=min(1e-8, match_tol / 10.0))
+        cells[cell_idx], inits[init_idx], max_iter, tol_step,
+        targets[admissible].reshape(-1, 4), prox_tol=min(1e-8, match_tol / 10.0))
     limit[admissible] = final.reshape(-1, n_init, 4)
     iterations[admissible] = iters.reshape(-1, n_init)
     final_step[admissible] = fstep.reshape(-1, n_init)
 
     # NaN where there is no claim: NaN targets, or NaN limits when inadmissible
-    distance = np.max(np.abs(limit - targets[:, None, :]), axis=2)
-    code = np.select([~admissible[:, None], ~claim[:, None],
+    distance = np.max(np.abs(limit - targets), axis=2)
+    code = np.select([~admissible[:, None], ~claim,
                       distance <= match_tol, final_step <= tol_step],
                      [0, 1, 2, 3], default=4)
     return ScanReport(
@@ -1007,7 +1001,7 @@ def conjecture_scan(
         inits=inits,
         cells=cells,
         verdict=np.array(_VERDICTS, dtype=object)[code],
-        target=np.broadcast_to(target_label[:, None], code.shape),
+        target=target_label,
         distance=distance,
         iterations=iterations,
         final_step=final_step,

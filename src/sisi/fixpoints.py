@@ -115,6 +115,11 @@ def _interior_coordinates(b, al, b1, b2, A):
     return x, u, y, v
 
 
+def _lambda9_coordinates(b, bk):
+    """(x, u) of lambda_9 (y = v = 0) with bk = beta1*k1, elementwise."""
+    return b / bk, (bk - b) / bk
+
+
 def _lambda10_coordinates(b, al, bk):
     """(x, u, y) of lambda_10 (v = 0) with bk = beta1*k1, elementwise."""
     joint = b + al
@@ -280,7 +285,7 @@ def lambda9_point(p: ModelParams) -> np.ndarray:
     bk = p.beta1 * p.k1
     if bk <= 0.0:
         raise DegenerateRegime("beta1*k1 must be positive for lambda_9")
-    return np.array([p.b / bk, (bk - p.b) / bk, 0.0, 0.0])
+    return np.array([*_lambda9_coordinates(p.b, bk), 0.0, 0.0])
 
 
 def lambda10_point(p: ModelParams) -> np.ndarray:

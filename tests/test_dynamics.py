@@ -300,6 +300,45 @@ class TestPredictedLimit:
         assert p.b * (p.b + p.alpha) < p.alpha * p.beta2 * p.k2
         assert predicted_limit(SimplexPoint(0.2, 0.3, 0.1, 0.4), p) is None
 
+    # lambda_1, starts fixed for some rates (lambda_3, Lambda_5, Lambda_8, A0 = 0)
+    # and moving ones, most with a zero coordinate
+    RULE_STARTS = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.5, 0.0, 0.5, 0.0),
+                   (0.0, 0.0, 0.5, 0.5), (0.5, 0.5, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5),
+                   (0.0, 0.25, 0.75, 0.0), (0.25, 0.25, 0.25, 0.25),
+                   (0.125, 0.375, 0.25, 0.25))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(cells=st.lists(st.tuples(DYADIC, DYADIC, DYADIC, DYADIC, DYADIC, DYADIC),
+                          min_size=1, max_size=30))
+    @example(cells=[(0.25, 0.25, 0.5, 0.0, 1.0, 0.5), (0.25, 0.25, 0.5, 0.25, 1.0, 0.5),
+                    (0.0, 0.25, 0.25, 0.0, 1.0, 0.0), (0.25, 0.0, 0.25, 0.0, 1.0, 0.0)])
+    def test_rule_table_on_arrays_equals_dispatch(self, cells):
+        # the table on (cells, 1) rate columns against (1, starts) start
+        # columns, as the scan evaluates it, row by row against the scalar
+        # dispatcher; the example has cells on beta1*k1 = b + alpha, with
+        # b = 0, and on the no-recovery threshold beta1*k1 = b
+        cells = np.array([c for c in cells if ModelParams(*c).admissible]).reshape(-1, 6)
+        starts = np.array(self.RULE_STARTS)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first, targets = dynamics._apply_rules(tuple(cells.T[:, :, None]),
+                                                   tuple(starts.T[:, None, :]))
+        assert first.shape == (len(cells), len(starts))
+        for i, rates in enumerate(cells):
+            p = ModelParams(*rates)
+            for j, start in enumerate(starts):
+                pred = predicted_limit(SimplexPoint(*start), p)
+                if pred is None:
+                    assert first[i, j] == -1 and np.all(np.isnan(targets[i, j])), (p, start)
+                    continue
+                assert dynamics._RULES[first[i, j]].regime == pred.regime, (p, start)
+                assert targets[i, j].tobytes() == pred.target.tobytes(), (p, start)
+
+    def test_registry_regimes_are_rules(self):
+        rules = {rule.regime for rule in dynamics._RULES}
+        assert len(rules) == len(dynamics._RULES)
+        for name in list_regimes():
+            assert set(dynamics._REGIMES[name].expected_regimes) <= rules, name
+
     def test_match_wiring(self):
         pred = predicted_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), FIG2)
         report = detect_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), FIG2,
@@ -403,8 +442,10 @@ class TestConjectureScan:
     ], ids=["small", "conj1", "conj2"])
     def test_claims_agree_with_predicted_limit(self, conjecture, grid, monkeypatch):
         # the scan's vectorized claim, row by row, against the dispatcher:
-        # the same target bits, and no claim exactly where no rule of the
-        # conjecture speaks; the dyadic grids have cells on beta1*k1 = b + alpha
+        # a claim exactly where the dispatcher's rule is the conjecture's,
+        # with the same target bits; the dyadic grids have cells on
+        # beta1*k1 = b + alpha, and conj1 has cells with beta1 = 0 or k2 = 0
+        # where a proven rule comes first
         claimed = []
 
         def recording(*args, **kwargs):
@@ -431,11 +472,10 @@ class TestConjectureScan:
                     continue
                 labels.add(label)
                 threshold += b1 * k1 == b + al
-                assert pred is not None, (rates, s0)
+                assert pred is not None and pred.source == source, (rates, s0, pred)
                 assert pred.target.tobytes() == target.tobytes(), (rates, s0, pred.regime)
-                if label == other:
-                    assert pred.source == source and pred.conjectural
-                else:
+                assert pred.conjectural, (rates, s0, pred.regime)
+                if label != other:
                     assert label == "lambda_1" and target.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert next(targets, None) is None
         assert labels == {"lambda_1", other}

@@ -142,6 +142,16 @@ class LimitReport:
         return None if self.limit is None else SimplexPoint.from_array(self.limit)
 
 
+def _require_budget(max_iter: int, **tolerances: float) -> None:
+    """Raise ValueError unless max_iter >= 1 and every tolerance is finite
+    and >= 0 (NaN is not)."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not all(0.0 <= tol < math.inf for tol in tolerances.values()):
+        raise ValueError("tolerances must be >= 0 and finite: "
+                         + ", ".join(f"{k}={v!r}" for k, v in tolerances.items()))
+
+
 def detect_limit(
     s0: SimplexPoint,
     p: ModelParams,
@@ -168,11 +178,7 @@ def detect_limit(
     ``s0`` and then every state the loop moves to, as 4-tuples.
     """
     require_admissible(p)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if not (0.0 <= tol_step < math.inf and 0.0 <= tol_fix < math.inf):
-        raise ValueError("tolerances must be >= 0 and finite: "
-                         f"tol_step={tol_step!r}, tol_fix={tol_fix!r}")
+    _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix)
     if catalog is None:
         catalog = fixed_point_set(p)
     anchors = [(fp.label, fp.point.tolist()) for fp in catalog if fp.point is not None]
@@ -792,9 +798,9 @@ class ScanReport:
     ``verdict`` is match, counterexample, inconclusive, no-claim or
     inadmissible; ``target`` is the claimed limit's catalog label (None
     without a claim); ``distance`` is the limit's largest coordinate
-    deviation from the target (NaN without a claim).  Inadmissible cells are
-    never iterated: limit and final step NaN, 0 iterations.  ``summary``
-    counts the rows per verdict.
+    deviation from the target (NaN without a claim).  Only claimed rows are
+    iterated; a no-claim or inadmissible row has a NaN limit and final step
+    and 0 iterations.  ``summary`` counts the rows per verdict.
     """
 
     conjecture: int
@@ -816,8 +822,10 @@ class ScanReport:
     def to_jsonl(self, fh) -> None:
         """A header line, then one JSON line per row in (cell, init) order.
 
-        Each line is what ``json.dumps(row, sort_keys=True)`` writes.  Rows
-        are rendered and written in blocks, so the file is never held whole.
+        Each line is what ``json.dumps(row, sort_keys=True)`` writes, with
+        ``"limit": null`` for a row of 0 iterations, which was not iterated.
+        Rows are rendered and written in blocks, so the file is never held
+        whole.
         """
         n_init = self.inits.shape[0]
         header = {
@@ -841,7 +849,7 @@ class ScanReport:
             rows = slice(lo, lo + _JSONL_BLOCK)
             limits = [f"[{x}, {u}, {y}, {v}]"
                       for x, u, y, v in zip(*map(_json_floats, limit[rows].T))]
-            for i in np.flatnonzero(verdict[rows] == "inadmissible").tolist():
+            for i in np.flatnonzero(iterations[rows] == 0).tolist():
                 limits[i] = "null"
             fh.write("".join(
                 f'{{"cell": {cell}, "distance": {dist}, "final_step": {step}, '
@@ -941,8 +949,11 @@ def conjecture_scan(
     ``inconclusive`` when the budget ran out (typical on the nonhyperbolic
     threshold beta1*k1 = b + alpha, where convergence is sub-geometric),
     ``no-claim`` when the conjecture does not speak, and ``inadmissible``
-    for cells outside the admissible region.  Scans are deterministic for
-    a fixed seed; counterexamples are reported, never suppressed.
+    for cells outside the admissible region.  Only claimed rows are
+    iterated: no-claim and inadmissible rows keep a NaN limit and final
+    step and 0 iterations.  Scans are deterministic for a fixed seed;
+    counterexamples are reported, never suppressed.  ``max_iter`` must be
+    >= 1 and both tolerances finite and >= 0.
     """
     if grid is None:
         grid = default_grid(conjecture)
@@ -950,6 +961,7 @@ def conjecture_scan(
         raise ValueError("conjecture must be 1 (boundary) or 2 (interior)")
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
+    _require_budget(max_iter, tol_step=tol_step, match_tol=match_tol)
     cells = grid.cells()
     n_cells = cells.shape[0]
     rng = np.random.default_rng(seed)
@@ -972,25 +984,24 @@ def conjecture_scan(
     target_label = np.array(labels + [None], dtype=object)[
         np.where(admissible[:, None], first, -1)]
     claim = target_label.astype(bool)
-    targets[~claim] = np.nan
-    if not np.all(_fixed(tuple(targets[claim].T), cells[np.nonzero(claim)[0]].T, RESIDUAL_TOL)):
+    cell_idx, init_idx = np.nonzero(claim)
+    targets = targets[claim]  # drops the rule table's full-size arrays
+    del first
+    if not np.all(_fixed(tuple(targets.T), cells[cell_idx].T, RESIDUAL_TOL)):
         raise ArithmeticError("a claimed target is not fixed")
 
-    # evolve every admissible (cell, init) row; inadmissible rows stay NaN
+    # evolve the claimed rows only; every other row stays NaN, 0 iterations
+    final, iters, fstep = _batch_limits(
+        cells[cell_idx], inits[init_idx], max_iter, tol_step, targets,
+        prox_tol=min(1e-8, match_tol / 10.0))
     limit = np.full((n_cells, n_init, 4), np.nan)
     iterations = np.zeros((n_cells, n_init), dtype=np.int64)
     final_step = np.full((n_cells, n_init), np.nan)
-    cell_idx = np.repeat(np.arange(n_cells)[admissible], n_init)
-    init_idx = np.tile(np.arange(n_init), int(admissible.sum()))
-    final, iters, fstep = _batch_limits(
-        cells[cell_idx], inits[init_idx], max_iter, tol_step,
-        targets[admissible].reshape(-1, 4), prox_tol=min(1e-8, match_tol / 10.0))
-    limit[admissible] = final.reshape(-1, n_init, 4)
-    iterations[admissible] = iters.reshape(-1, n_init)
-    final_step[admissible] = fstep.reshape(-1, n_init)
-
-    # NaN where there is no claim: NaN targets, or NaN limits when inadmissible
-    distance = np.max(np.abs(limit - targets), axis=2)
+    distance = np.full((n_cells, n_init), np.nan)
+    limit[claim] = final
+    iterations[claim] = iters
+    final_step[claim] = fstep
+    distance[claim] = np.max(np.abs(final - targets), axis=1)
     code = np.select([~admissible[:, None], ~claim,
                       distance <= match_tol, final_step <= tol_step],
                      [0, 1, 2, 3], default=4)

@@ -177,8 +177,8 @@ def test_criterion_8_grid_sweep():
 
 # sha256 of the seed-9 JSONL report per conjecture
 _SCAN_SHA256 = {
-    1: "d8218a77f7abddcf0e27aa8ca498ff55aba5bf1ee6eabb7824c9e8aa5cfbd6e4",
-    2: "aed2304b762bbeb4feebe5a848790a7433e392d6cc0078c5d2c083d74cc48523",
+    1: "7b4d877fcec7cc460ddbd12fda11b5710016179048dccafbd73ac51eb712e2a5",
+    2: "e816be7c412ed82cbdd4c2109a664101b5fe15045e71d64b58417f6f26f04e8d",
 }
 
 
@@ -201,8 +201,12 @@ def test_criterion_9_conjecture_scans():
             assert np.count_nonzero(first.verdict == verdict) == count
         # every verdict is justified by its stored limit data
         verdict, distance, step = first.verdict, first.distance, first.final_step
-        inadmissible = verdict == "inadmissible"
-        assert np.all(np.isnan(first.limit[inadmissible]))
+        # only claimed rows are iterated: a no-claim row is left as an
+        # inadmissible one, and an iterated row took at least one step
+        unclaimed = np.isin(verdict, ["inadmissible", "no-claim"])
+        assert np.all(np.isnan(first.limit[unclaimed]))
+        assert np.all(np.isnan(step[unclaimed]))
+        assert np.array_equal(first.iterations == 0, unclaimed)
         assert np.all(first.target[verdict == "no-claim"] == None)  # noqa: E711
         assert np.all(distance[verdict == "match"] <= first.match_tol)
         counterexample = verdict == "counterexample"

@@ -40,6 +40,18 @@ SMALL_GRID = GridSpec(
 )
 
 
+# The small grid and two dyadic 3**6 grids, one per conjecture, with cells
+# on beta1*k1 = b + alpha; conj1's has cells with beta1 = 0 or k2 = 0, where
+# a proven rule comes before the conjecture's.
+CLAIM_GRIDS = pytest.mark.parametrize("conjecture,grid", [
+    (1, SMALL_GRID),
+    (1, GridSpec(b=(0.0, 0.25, 0.5), alpha=(0.0, 0.125, 0.25), beta1=(0.0, 0.5, 1.0),
+                 beta2=(0.0, 0.25, 0.5), k1=(0.5, 1.0, 1.5), k2=(0.0, 0.5, 1.0))),
+    (2, GridSpec(b=(0.125, 0.25, 0.5), alpha=(0.0, 0.125, 0.25), beta1=(0.25, 0.5, 1.0),
+                 beta2=(0.0, 0.25, 0.5), k1=(0.5, 0.75, 1.0), k2=(0.5, 1.0, 1.25))),
+], ids=["small", "conj1", "conj2"])
+
+
 def jsonl_by_json_dumps(report) -> list[str]:
     """The scan report written one ``json.dumps`` per row, as a reference."""
     n_init = report.inits.shape[0]
@@ -70,7 +82,7 @@ def jsonl_by_json_dumps(report) -> list[str]:
             "distance": distance,
             "iterations": iterations,
             "final_step": final_step,
-            "limit": None if verdict == "inadmissible" else limit,
+            "limit": None if iterations == 0 else limit,
         }
         lines.append(json.dumps(payload, sort_keys=True))
     return lines
@@ -433,30 +445,24 @@ class TestConjectureScan:
         assert on_bound > 0
         assert 0 < report.summary["inadmissible"] < report.verdict.size
 
-    @pytest.mark.parametrize("conjecture,grid", [
-        (1, SMALL_GRID),
-        (1, GridSpec(b=(0.0, 0.25, 0.5), alpha=(0.0, 0.125, 0.25), beta1=(0.0, 0.5, 1.0),
-                     beta2=(0.0, 0.25, 0.5), k1=(0.5, 1.0, 1.5), k2=(0.0, 0.5, 1.0))),
-        (2, GridSpec(b=(0.125, 0.25, 0.5), alpha=(0.0, 0.125, 0.25), beta1=(0.25, 0.5, 1.0),
-                     beta2=(0.0, 0.25, 0.5), k1=(0.5, 0.75, 1.0), k2=(0.5, 1.0, 1.25))),
-    ], ids=["small", "conj1", "conj2"])
+    @CLAIM_GRIDS
     def test_claims_agree_with_predicted_limit(self, conjecture, grid, monkeypatch):
         # the scan's vectorized claim, row by row, against the dispatcher:
         # a claim exactly where the dispatcher's rule is the conjecture's,
-        # with the same target bits; the dyadic grids have cells on
-        # beta1*k1 = b + alpha, and conj1 has cells with beta1 = 0 or k2 = 0
-        # where a proven rule comes first
-        claimed = []
+        # with the same target bits, and the kernel gets exactly the claimed
+        # rows, in (cell, init) order
+        calls = []
 
         def recording(*args, **kwargs):
-            claimed.extend(args[4])
+            calls.append(args)
             return _batch_limits(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_batch_limits", recording)
         report = conjecture_scan(conjecture, grid=grid, n_init=2, seed=3, max_iter=1)
+        [(params, states, _, _, targets)] = calls
         source, other = ((dynamics.SRC_BOUNDARY_CONJ, "lambda_10") if conjecture == 1
                          else (dynamics.SRC_INTERIOR_CONJ, "lambda_11"))
-        targets = iter(claimed)
+        rows = iter(zip(params, states, targets))
         labels, threshold = set(), 0
         for cell, rates in enumerate(report.cells):
             if report.verdict[cell, 0] == "inadmissible":
@@ -464,12 +470,14 @@ class TestConjectureScan:
             b, al, b1, _, k1, _ = rates
             p = ModelParams(*rates)
             for init, s0 in enumerate(report.inits):
-                target, label = next(targets), report.target[cell, init]
+                label = report.target[cell, init]
                 pred = predicted_limit(SimplexPoint.from_array(s0), p)
                 if label is None:
                     assert pred is None or pred.source != source, (rates, s0)
-                    assert np.all(np.isnan(target))
                     continue
+                row_rates, start, target = next(rows)
+                assert row_rates.tobytes() == rates.tobytes(), (cell, init)
+                assert start.tobytes() == s0.tobytes(), (cell, init)
                 labels.add(label)
                 threshold += b1 * k1 == b + al
                 assert pred is not None and pred.source == source, (rates, s0, pred)
@@ -477,9 +485,81 @@ class TestConjectureScan:
                 assert pred.conjectural, (rates, s0, pred.regime)
                 if label != other:
                     assert label == "lambda_1" and target.tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert next(targets, None) is None
+        assert next(rows, None) is None
         assert labels == {"lambda_1", other}
         assert threshold > 0 or grid is SMALL_GRID
+
+    @CLAIM_GRIDS
+    def test_claimed_rows_equal_iterating_every_admissible_row(self, conjecture, grid):
+        # the projection onto the claimed rows: every admissible row through
+        # the kernel, the claimed ones toward their target and the rest with a
+        # NaN target, gives each claimed row the bits the scan reports, and
+        # the same summary; no-claim rows are left as inadmissible ones are
+        report = conjecture_scan(conjecture, grid=grid, n_init=2, seed=3, max_iter=2_000)
+        admissible = report.verdict != "inadmissible"
+        claim = report.target != None  # noqa: E711
+        cell_idx, init_idx = np.nonzero(admissible)
+        targets = np.array([
+            predicted_limit(SimplexPoint.from_array(report.inits[i]),
+                            ModelParams(*report.cells[c])).target
+            if claim[c, i] else [np.nan] * 4 for c, i in zip(cell_idx, init_idx)])
+        final, iters, fstep = _batch_limits(
+            report.cells[cell_idx], report.inits[init_idx], report.max_iter,
+            report.tol_step, targets, prox_tol=min(1e-8, report.match_tol / 10.0))
+        distance = np.max(np.abs(final - targets), axis=1)
+        on = claim[admissible]
+        assert report.limit[claim].tobytes() == final[on].tobytes()
+        assert report.iterations[claim].tolist() == iters[on].tolist()
+        assert report.final_step[claim].tobytes() == fstep[on].tobytes()
+        assert report.distance[claim].tobytes() == distance[on].tobytes()
+        assert np.all(np.isnan(report.limit[~claim]))
+        assert np.all(np.isnan(report.final_step[~claim]))
+        assert np.all(report.iterations[~claim] == 0)
+        verdicts = np.select([~on, distance <= report.match_tol, fstep <= report.tol_step],
+                             ["no-claim", "match", "counterexample"], "inconclusive")
+        summary = {verdict: int(np.count_nonzero(verdicts == verdict))
+                   for verdict in report.summary}
+        summary["inadmissible"] = int(np.count_nonzero(~admissible))
+        assert report.summary == summary
+        assert summary["no-claim"] > 0 and summary["match"] > 0
+
+    def test_grid_without_claims_iterates_no_row(self, monkeypatch):
+        # beta2 > 0 everywhere: conjecture 1 claims no row, so the kernel
+        # gets 0 rows and every limit is null
+        rows = []
+
+        def recording(*args, **kwargs):
+            rows.append(len(args[0]))
+            return _batch_limits(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_batch_limits", recording)
+        grid = GridSpec(b=(0.1, 0.6, 0.9), alpha=(0.2, 0.5), beta1=(0.5,), beta2=(0.1, 0.2),
+                        k1=(1.0,), k2=(0.3,))
+        report = conjecture_scan(1, grid=grid, n_init=2, seed=5)
+        assert rows == [0]
+        assert report.summary["no-claim"] > 0 and report.summary["inadmissible"] > 0
+        assert report.summary["no-claim"] + report.summary["inadmissible"] == report.verdict.size
+        assert np.all(report.iterations == 0)
+        assert np.all(np.isnan(report.limit)) and np.all(np.isnan(report.distance))
+        buf = io.StringIO()
+        report.to_jsonl(buf)
+        lines = buf.getvalue().splitlines()
+        assert lines == jsonl_by_json_dumps(report)
+        assert all(json.loads(line)["limit"] is None for line in lines[1:])
+
+    @pytest.mark.parametrize("options", [
+        {"match_tol": math.nan}, {"match_tol": -1.0}, {"match_tol": math.inf},
+        {"tol_step": math.nan}, {"tol_step": -1e-11}, {"tol_step": math.inf},
+        {"max_iter": 0}, {"max_iter": -5},
+    ], ids=lambda options: "{}={}".format(*next(iter(options.items()))))
+    def test_bad_budget_or_tolerance_raises(self, options):
+        # unchecked, a NaN match_tol left converged rows inconclusive, a
+        # negative one made rows that reach lambda_1 counterexamples, and a
+        # budget below 1 gave inconclusive rows 0 iterations
+        grid = GridSpec(b=(0.6, 0.1), alpha=(0.2,), beta1=(0.5,), beta2=(0.0,),
+                        k1=(1.0,), k2=(0.3,))
+        with pytest.raises(ValueError, match="max_iter must be >= 1|tolerances must be >= 0"):
+            conjecture_scan(1, grid=grid, n_init=2, seed=5, **options)
 
     def test_determinism_same_seed(self):
         grid = GridSpec(
@@ -502,12 +582,12 @@ class TestConjectureScan:
         ({"max_iter": 100},
          {"match": 4, "counterexample": 0, "inconclusive": 2, "no-claim": 6,
           "inadmissible": 12},
-         "58ba7a2c6611548c786083ee3e1f7cb3ec51e721951849d955140fc9719cfa15"),
+         "b116c1768266d10cd15a0e31308df1688b1972f1f7f967f90578f37194e1cee0"),
         ({"match_tol": 1e-15},
          {"match": 0, "counterexample": 6, "inconclusive": 0, "no-claim": 6,
           "inadmissible": 12},
-         "bde57cad8e78f35fd598dfc9a072b156061576f9c2af40864cb25edf43e6e3e9"),
-    ])
+         "76f54c13f4526fcea330a726cd6622bd684c7cc853c46c448036d809b1a7a4f8"),
+    ], ids=["max_iter=100", "match_tol=1e-15"])
     def test_jsonl_bytes_pinned(self, options, summary, digest):
         # every verdict on one small grid, serialized byte for byte
         grid = GridSpec(

@@ -176,38 +176,61 @@ def detect_limit(
     since) excludes a hit, so skipping changes no result.  Both tolerances
     must be finite and >= 0.  When ``visited`` is a list, it receives
     ``s0`` and then every state the loop moves to, as 4-tuples.
+
+    The step is the sup-norm of the move, taken with comparisons: every
+    coordinate is finite, so it equals ``max(abs(...))`` bit for bit (an
+    all-zero move gives 0.0, never -0.0).
     """
-    require_admissible(p)
-    _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix)
+    # fixed_point_set validates p; either way InadmissibleParams comes first
     if catalog is None:
         catalog = fixed_point_set(p)
+    else:
+        require_admissible(p)
+    _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix)
     anchors = [(fp.label, fp.point.tolist()) for fp in catalog if fp.point is not None]
-    rates = p.as_tuple()
+    b, al, b1, b2, k1, k2 = p.as_tuple()
 
-    cur = s0.as_tuple()
+    x, u, y, v = s0.as_tuple()
     if visited is not None:
-        visited.append(cur)
+        visited.append((x, u, y, v))
     applications = 0
     converged = False
-    step = math.inf
     slack = 0.0  # no bound yet: check after the first step
     while True:
-        nxt = _step(*cur, *rates)
-        step = max(abs(nxt[0] - cur[0]), abs(nxt[1] - cur[1]),
-                   abs(nxt[2] - cur[2]), abs(nxt[3] - cur[3]))
+        nx, nu, ny, nv = _step(x, u, y, v, b, al, b1, b2, k1, k2)
+        step = 0.0
+        d = nx - x
+        if d < 0.0:
+            d = -d
+        if d > step:
+            step = d
+        d = nu - u
+        if d < 0.0:
+            d = -d
+        if d > step:
+            step = d
+        d = ny - y
+        if d < 0.0:
+            d = -d
+        if d > step:
+            step = d
+        d = nv - v
+        if d < 0.0:
+            d = -d
+        if d > step:
+            step = d
         if step <= tol_step:
-            converged = True  # cur is (numerically) fixed; do not advance
+            converged = True  # (x, u, y, v) is (numerically) fixed; do not advance
             break
         applications += 1
-        cur = nxt
+        x, u, y, v = nx, nu, ny, nv
         if visited is not None:
-            visited.append(cur)
+            visited.append((x, u, y, v))
         # The sup-norm distance to any anchor falls by at most one step per
         # step, so the check cannot fire while slack > 0.
         slack -= step + _SKIP_MARGIN
         if not slack > 0.0:
-            near = min((max(abs(cur[0] - a[0]), abs(cur[1] - a[1]),
-                            abs(cur[2] - a[2]), abs(cur[3] - a[3]))
+            near = min((max(abs(x - a[0]), abs(u - a[1]), abs(y - a[2]), abs(v - a[3]))
                         for _, a in anchors), default=math.inf)
             if near <= tol_fix:
                 converged = True
@@ -216,6 +239,7 @@ def detect_limit(
         if applications >= max_iter:
             break
 
+    cur = (x, u, y, v)
     limit = np.array(cur) if converged else None
     snapped = None
     if converged and anchors:
@@ -755,8 +779,9 @@ class GridSpec:
     k2: tuple[float, ...]
 
     def cells(self) -> np.ndarray:
+        """The (n_cells, 6) rate rows, last axis fastest; (0, 6) if an axis is empty."""
         return np.array(list(product(self.b, self.alpha, self.beta1,
-                                     self.beta2, self.k1, self.k2)))
+                                     self.beta2, self.k1, self.k2))).reshape(-1, 6)
 
     @property
     def n_cells(self) -> int:

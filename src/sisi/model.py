@@ -179,10 +179,11 @@ def require_admissible(p: ModelParams) -> None:
 class SimplexPoint:
     """A state (x, u, y, v) on the standard 3-simplex.
 
-    Coordinates down to -1e-12 are clamped to zero (round-off tolerance);
-    anything more negative, and NaN, is rejected.  The coordinate sum must
-    be 1 up to a loose guard: iteration is never renormalized, so a small
-    measured drift is legal and observable via :attr:`drift`.
+    Coordinates down to -1e-12, and -0.0, are stored as 0.0 (round-off
+    tolerance); anything more negative, and NaN, is rejected.  The
+    coordinate sum must be 1 up to a loose guard: iteration is never
+    renormalized, so a small measured drift is legal and observable via
+    :attr:`drift`.
     """
 
     x: float
@@ -197,7 +198,8 @@ class SimplexPoint:
                 raise ValueError(
                     f"coordinate {name}={c!r} is NaN or negative beyond round-off"
                 )
-            object.__setattr__(self, name, 0.0 if c < 0.0 else c)
+            # <= rather than <, so that -0.0 is stored as 0.0 too
+            object.__setattr__(self, name, 0.0 if c <= 0.0 else c)
         total = self.x + self.u + self.y + self.v
         if abs(total - 1.0) > SUM_GUARD:
             raise ValueError(f"coordinates sum to {total!r}, not 1")

@@ -70,6 +70,11 @@ class TestSimulate:
         assert text.startswith("# config: ")
         assert "# limit: " in text
 
+    def test_negative_zero_init_echoes_zero(self, capsys):
+        assert main(["simulate", *FIG1_ARGS, "--init=-0.0,0.5,0.25,0.25", "--max-iter", "2"]) == 3
+        out = capsys.readouterr().out
+        assert " init=0,0.5,0.25,0.25 " in out and "\n0,0,0.5,0.25,0.25\n" in out
+
     def test_missing_init_is_bad_input(self):
         assert main(["simulate", *FIG1_ARGS]) == 2
 

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_admissible, random_point
-from sisi import dynamics
+from sisi import dynamics, model
 from sisi.cli import _FIGURES
-from sisi.model import LIMIT_TOL, _CONDITIONS, ModelParams, SimplexPoint, _step, iterate
+from sisi.model import (LIMIT_TOL, _CONDITIONS, InadmissibleParams, ModelParams, SimplexPoint,
+                        _step, iterate)
 from sisi.fixpoints import DegenerateRegime, fixed_point_set, interior_quadratic
 from sisi.dynamics import (
     GridSpec,
@@ -236,6 +237,59 @@ class TestProximitySkip:
                                   iterate(s0, FIG2, report.iterations).states)
 
 
+class TestStepLoop:
+    """detect_limit's comparison-based step equals max(abs(...)) bit for bit
+    where the two could part: zero moves, exact zeros, ties and budgets."""
+
+    RATES = (FIG1, FIG2, WORKED, ModelParams(0.25, 0.25, 0.5, 0.0, 1.0, 0.5))
+
+    @pytest.mark.parametrize("p,start", [
+        (FIG1, (1.0, 0.0, 0.0, 0.0)),
+        (ModelParams(0.0, 0.0, 0.7, 0.4, 0.0, 0.0), (0.3, 0.2, 0.4, 0.1)),
+        (ModelParams(0.0, 0.0, 0.0, 0.0, 1.0, 0.5), (0.0, 0.0, 1.0, 0.0)),
+    ], ids=["lambda_1", "no-infectivity", "identity"])
+    def test_fixed_start_has_positive_zero_step(self, p, start):
+        report = assert_same_as_every_step(SimplexPoint(*start), p)
+        assert report.converged and report.iterations == 0
+        assert report.final_step.hex() == "0x0.0p+0"  # never -0.0
+
+    @pytest.mark.parametrize("start", [(0.5, 0.0, 0.5, 0.0), (0.0, 0.5, 0.0, 0.5),
+                                       (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0),
+                                       (0.25, 0.0, 0.0, 0.75)])
+    def test_exact_zero_coordinates(self, start):
+        for p in self.RATES:
+            for max_iter in (1, 2, 50, 5_000):
+                assert_same_as_every_step(SimplexPoint(*start), p, max_iter=max_iter)
+
+    def test_one_step_budget(self):
+        for p in self.RATES:
+            for start in TestProximitySkip.STARTS:
+                report = assert_same_as_every_step(SimplexPoint(*start), p, max_iter=1)
+                assert report.iterations <= 1
+
+    def test_tol_step_equal_to_a_computed_step(self):
+        # the step rule is step <= tol_step; at a tie it must fire
+        s0 = SimplexPoint(0.3, 0.2, 0.4, 0.1)
+        for p in self.RATES:
+            states = []
+            detect_limit(s0, p, max_iter=40, visited=states)
+            steps = [max(abs(a - c) for a, c in zip(nxt, cur))
+                     for cur, nxt in zip(states, states[1:])]
+            for n, step in enumerate(steps):
+                report = assert_same_as_every_step(s0, p, tol_step=step)
+                assert report.converged and report.iterations <= n
+                assert report.final_step <= step
+
+    def test_budget_runs_out(self):
+        # FIG2 reaches lambda_10 geometrically; WORKED's interior point too
+        for p in (FIG2, WORKED):
+            for max_iter in (3, 17, 200):
+                report = assert_same_as_every_step(SimplexPoint(0.3, 0.2, 0.4, 0.1), p,
+                                                   max_iter=max_iter)
+                assert not report.converged and report.iterations == max_iter
+                assert report.final_step > 0.0
+
+
 class TestDetectLimit:
     def test_fixed_start_converges_immediately(self):
         report = detect_limit(SimplexPoint(1, 0, 0, 0), FIG1)
@@ -263,6 +317,28 @@ class TestDetectLimit:
         report = detect_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), p)
         assert report.converged and report.snapped is None
         assert np.allclose(report.limit, [0.3, 0.0, 0.6, 0.1], atol=1e-9)
+
+    def test_validates_rates_once(self, monkeypatch):
+        calls, validate = [], model.validate_params
+
+        def counting(p):
+            calls.append(p)
+            return validate(p)
+
+        monkeypatch.setattr(model, "validate_params", counting)
+        s0 = SimplexPoint(0.3, 0.2, 0.4, 0.1)
+        detect_limit(s0, FIG2)
+        assert len(calls) == 1
+        detect_limit(s0, FIG2, catalog=fixed_point_set(FIG2))
+        assert len(calls) == 3  # one for the catalog, one for detect_limit
+
+    @pytest.mark.parametrize("catalog", [None, []], ids=["own", "given"])
+    def test_inadmissible_rates_raise_before_bad_tolerance(self, catalog):
+        p = ModelParams(0.9, 0.5, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(InadmissibleParams):
+            detect_limit(SimplexPoint(1, 0, 0, 0), p, tol_step=math.nan, catalog=catalog)
+        with pytest.raises(ValueError, match="tolerances must be >= 0"):
+            detect_limit(SimplexPoint(1, 0, 0, 0), FIG1, tol_fix=-1.0, catalog=catalog)
 
     def test_identity_regime_stops_at_zero_iterations(self):
         p = ModelParams(0.0, 0.0, 0.7, 0.4, 0.0, 0.0)  # no infectivity
@@ -546,6 +622,20 @@ class TestConjectureScan:
         lines = buf.getvalue().splitlines()
         assert lines == jsonl_by_json_dumps(report)
         assert all(json.loads(line)["limit"] is None for line in lines[1:])
+
+    @pytest.mark.parametrize("conjecture", [1, 2])
+    def test_empty_axis_gives_empty_report(self, conjecture):
+        # no cells: the scan's per-cell arrays must still have a 6-rate axis
+        grid = GridSpec(b=(), alpha=(0.2,), beta1=(0.5,), beta2=(0.0,), k1=(1.0,), k2=(0.3,))
+        assert grid.cells().shape == (0, 6)
+        report = conjecture_scan(conjecture, grid=grid, n_init=2, seed=5)
+        assert report.summary == dict.fromkeys(report.summary, 0) and len(report.summary) == 5
+        assert report.verdict.shape == (0, 2) and report.limit.shape == (0, 2, 4)
+        buf = io.StringIO()
+        report.to_jsonl(buf)
+        lines = buf.getvalue().splitlines()
+        assert lines == jsonl_by_json_dumps(report) and len(lines) == 1
+        assert json.loads(lines[0])["n_cells"] == 0
 
     @pytest.mark.parametrize("options", [
         {"match_tol": math.nan}, {"match_tol": -1.0}, {"match_tol": math.inf},

@@ -79,6 +79,12 @@ class TestSimplexPoint:
         s = SimplexPoint(1.0, -1e-13, 1e-13, 0.0)
         assert s.u == 0.0 and s.x == 1.0
 
+    def test_negative_zero_is_stored_as_zero(self):
+        # -0.0 < 0.0 is false: a clamp on c < 0.0 alone would keep the sign
+        s = SimplexPoint(-0.0, 0.5, 0.25, 0.25)
+        assert math.copysign(1.0, s.x) == 1.0
+        assert all(math.copysign(1.0, c) == 1.0 for c in SimplexPoint(1.0, -0.0, -0.0, -0.0).as_tuple())
+
     def test_rejects_real_negatives(self):
         with pytest.raises(ValueError):
             SimplexPoint(1.0, -1e-9, 0.0, 0.0)

@@ -26,7 +26,6 @@ from sisi.fixpoints import (
     fixed_point_set,
     interior_fixed_point,
     interior_quadratic,
-    lambda10_point,
 )
 from sisi.stability import classify_at, classify_lambda1, jacobian
 from sisi.conjugacy import conjugacy_map, verify_conjugacy
@@ -68,10 +67,11 @@ def test_criterion_1_interior_quadratic():
 def test_criterion_2_figure_limits():
     fig2 = ModelParams(0.1, 0.2, 0.5, 0.0, 1.0, 0.3)
     fig4 = ModelParams(0.1, 0.01, 0.8, 0.2, 0.5, 1.2)
+    lambda10 = next(fp.point for fp in fixed_point_set(fig2) if fp.label == "lambda_10")
     cases = [
         (ModelParams(0.6, 0.2, 0.5, 0.0, 1.0, 0.3),
          SimplexPoint(0.1, 0.01, 0.2, 0.69), np.array([1.0, 0, 0, 0])),
-        (fig2, SimplexPoint(0.3, 0.2, 0.4, 0.1), lambda10_point(fig2)),
+        (fig2, SimplexPoint(0.3, 0.2, 0.4, 0.1), lambda10),
         (ModelParams(0.6, 0.1, 0.5, 0.01, 1.2, 1.1),
          SimplexPoint(0.2, 0.1, 0.3, 0.4), np.array([1.0, 0, 0, 0])),
         (fig4, SimplexPoint(0.2, 0.4, 0.1, 0.3), interior_fixed_point(fig4).point),

@@ -289,6 +289,14 @@ class TestReportBytes:
          "9556a08ba6fde1ffdd8f1859a5b32ae4778de6e3b71c750fdc03d194d1422e84"),
         (["fixpoints", "--figure", "4"], 0,
          "99a7f7e4c6abc1f3df5f380b41f9dd50cee210f10c349b59282114539368fed4"),
+        (["fixpoints", "--figure", "2"], 0,
+         "050e4db665e9598a944764aad0f0cb8d85c8da7584f3b356f3057a9fab6d6f4a"),
+        (["fixpoints", "--params", "b=0.2", "alpha=0", "beta1=0.6", "beta2=0.1", "k1=1",
+          "k2=0.5"], 0,
+         "a18d7b4629848e2e63aa76b3608404248ed96d01652ea217902a84021f10ca0c"),
+        (["fixpoints", "--params", "b=0", "alpha=0", "beta1=0.5", "beta2=0.5", "k1=1",
+          "k2=1"], 0,
+         "d2b5d2acaba087d4d3f952c95908d718cefe682f07f433c51f3a7c340fc2bf3e"),
         (["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1", "--grid", "77",
           "--root", "interior"], 0,
          "eb1a2ff85cfbaf7b18d1992c33f382cd3eab08c48786bf9bcd68859238dc264c"),

@@ -16,8 +16,6 @@ from sisi.fixpoints import (
     fixed_point_set,
     interior_fixed_point,
     interior_quadratic,
-    lambda9_point,
-    lambda10_point,
     residual,
 )
 

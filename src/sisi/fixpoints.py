@@ -36,8 +36,6 @@ __all__ = [
     "FixedPoint",
     "interior_quadratic",
     "interior_fixed_point",
-    "lambda9_point",
-    "lambda10_point",
     "bracketed_root",
     "fixed_point_set",
     "residual",
@@ -232,14 +230,68 @@ class FixedPoint:
     stability: str | None = None         # filled for lambda_1 only
     note: str = ""
 
-    @property
-    def is_family(self) -> bool:
-        return self.family is not None
-
     def members(self) -> tuple[np.ndarray, ...]:
         if self.point is not None:
             return (self.point,)
         return self.representatives
+
+
+def interior_fixed_point(p: ModelParams) -> FixedPoint:
+    """The fully interior fixed point lambda_11.
+
+    Built from the closed form
+
+        x = b / (b + beta1*A)
+        u = beta1*A*x / (b + alpha)
+        y = alpha*u / (b + beta2*A)
+        v = beta2*A*y / b
+
+    with A the positive root of :func:`interior_quadratic`.  The residual
+    bound RESIDUAL_TOL is enforced as a postcondition: an alternative form
+    with x = b/(b + alpha) circulates but does not satisfy V(q) = q, and
+    this check is what arbitrates between them.
+    """
+    try:
+        quad = interior_quadratic(p)
+    except DegenerateRegime as exc:
+        raise NoInteriorPoint(str(exc)) from exc
+    if quad.positive_root is None:
+        raise NoInteriorPoint(
+            "the equilibrium quadratic has no positive root for these rates"
+        )
+    b, al, b1, b2, _, _ = p.as_tuple()
+    x, u, y, v = _interior_coordinates(b, al, b1, b2, quad.positive_root)
+    point = np.array([x, u, y, v])
+    res = residual(point, p)
+    if res > RESIDUAL_TOL:
+        raise ArithmeticError(
+            f"interior fixed-point residual {res:.3e} exceeds {RESIDUAL_TOL:g}"
+        )
+    alt = np.array([b / (b + al), u, y, v])
+    note = ""
+    if residual(alt, p) > RESIDUAL_TOL:
+        note = ("x = b/(b+beta1*A) verified; the alternative x = b/(b+alpha) "
+                "fails the residual check")
+    return FixedPoint(label="lambda_11", point=point, residual=res, note=note)
+
+
+def _isolated(coords, classify=None):
+    """Row maker: the point coords(b, al, b1, b2, k1, k2) with its residual
+    and, given ``classify``, its closed-form stability."""
+    def make(label, p):
+        point = np.array(coords(*p.as_tuple()))
+        return FixedPoint(label, point=point, residual=residual(point, p),
+                          stability=classify and classify(p).classification)
+    return make
+
+
+def _family(description, members):
+    """Row maker: a family sampled at ``members``, with its largest residual."""
+    def make(label, p):
+        reps = tuple(np.array(m) for m in members)
+        return FixedPoint(label, family=description, representatives=reps,
+                          residual=max(residual(m, p) for m in reps))
+    return make
 
 
 _EDGE_TS = (0.05, 0.275, 0.5, 0.725, 0.95)
@@ -258,167 +310,73 @@ _FULL_TS = (
     (0.25, 0.25, 0.25, 0.25),
 )
 
-
-def _family_candidates(label: str) -> tuple[str, tuple[np.ndarray, ...]]:
-    if label == "Lambda_5":
-        desc = "u = v = 0; x in [0, 1], y = 1 - x"
-        reps = tuple(np.array([t, 0.0, 1.0 - t, 0.0]) for t in _EDGE_TS)
-    elif label == "Lambda_6":
-        desc = "u = 0; x, y, v >= 0 with x + y + v = 1"
-        reps = tuple(np.array([a, 0.0, b, c]) for a, b, c in _FACE_TS)
-    elif label == "Lambda_7":
-        desc = "x = 0; u, y, v >= 0 with u + y + v = 1"
-        reps = tuple(np.array([0.0, a, b, c]) for a, b, c in _FACE_TS)
-    elif label == "Lambda_8":
-        desc = "x = u = 0; y in [0, 1], v = 1 - y"
-        reps = tuple(np.array([0.0, 0.0, t, 1.0 - t]) for t in _EDGE_TS)
-    elif label == "S3":
-        desc = "the whole simplex (identity dynamics)"
-        reps = tuple(np.array(t) for t in _FULL_TS)
-    else:
-        raise ValueError(f"unknown family label {label!r}")
-    return desc, reps
-
-
-def lambda9_point(p: ModelParams) -> np.ndarray:
-    """Disease-persistent point on the (x, u) edge: (b/(beta1*k1), 1 - b/(beta1*k1), 0, 0)."""
-    bk = p.beta1 * p.k1
-    if bk <= 0.0:
-        raise DegenerateRegime("beta1*k1 must be positive for lambda_9")
-    return np.array([*_lambda9_coordinates(p.b, bk), 0.0, 0.0])
-
-
-def lambda10_point(p: ModelParams) -> np.ndarray:
-    """Boundary point with recovered individuals but no second infection (v = 0)."""
-    b, al = p.b, p.alpha
-    bk = p.beta1 * p.k1
-    if bk <= 0.0 or b + al <= 0.0:
-        raise DegenerateRegime("lambda_10 needs beta1*k1 > 0 and b + alpha > 0")
-    return np.array([*_lambda10_coordinates(b, al, bk), 0.0])
-
-
-def interior_fixed_point(p: ModelParams, residual_tol: float = RESIDUAL_TOL) -> FixedPoint:
-    """The fully interior fixed point lambda_11.
-
-    Built from the closed form
-
-        x = b / (b + beta1*A)
-        u = beta1*A*x / (b + alpha)
-        y = alpha*u / (b + beta2*A)
-        v = beta2*A*y / b
-
-    with A the positive root of :func:`interior_quadratic`.  The residual
-    bound is enforced as a postcondition: an alternative form with
-    x = b/(b + alpha) circulates but does not satisfy V(q) = q, and this
-    check is what arbitrates between them.
-    """
-    try:
-        quad = interior_quadratic(p)
-    except DegenerateRegime as exc:
-        raise NoInteriorPoint(str(exc)) from exc
-    if quad.positive_root is None:
-        raise NoInteriorPoint(
-            "the equilibrium quadratic has no positive root for these rates"
-        )
-    b, al, b1, b2, _, _ = p.as_tuple()
-    x, u, y, v = _interior_coordinates(b, al, b1, b2, quad.positive_root)
-    point = np.array([x, u, y, v])
-    res = residual(point, p)
-    if res > residual_tol:
-        raise ArithmeticError(
-            f"interior fixed-point residual {res:.3e} exceeds {residual_tol:g}"
-        )
-    alt = np.array([b / (b + al), u, y, v])
-    note = ""
-    if residual(alt, p) > residual_tol:
-        note = ("x = b/(b+beta1*A) verified; the alternative x = b/(b+alpha) "
-                "fails the residual check")
-    return FixedPoint(label="lambda_11", point=point, residual=res, note=note)
+# The catalog's candidates in listing order: a label, the rates under which
+# it is proposed, and how it is made from them.  The conditions overlap and
+# only propose; fixed_point_set keeps what passes the residual check.
+_CANDIDATES = (
+    ("lambda_1", lambda b, al, b1, b2, k1, k2: True,
+     _isolated(lambda *r: (1.0, 0.0, 0.0, 0.0), stability.classify_lambda1)),
+    ("lambda_2", lambda b, al, b1, b2, k1, k2: b == 0.0,
+     _isolated(lambda *r: (0.0, 0.0, 0.0, 1.0))),
+    ("lambda_3", lambda b, al, b1, b2, k1, k2: b == 0.0,
+     _isolated(lambda *r: (0.0, 0.0, 1.0, 0.0))),
+    ("lambda_4", lambda b, al, b1, b2, k1, k2: b == 0.0 and (
+        al == 0.0 or b2 == 0.0 and b1 > 0.0 and k1 * k2 > 0.0),
+     _isolated(lambda *r: (0.0, 1.0, 0.0, 0.0))),
+    ("lambda_9", lambda b, al, b1, b2, k1, k2: b > 0.0 and al == 0.0 and b1 * k1 > b,
+     _isolated(lambda b, al, b1, b2, k1, k2: (*_lambda9_coordinates(b, b1 * k1), 0.0, 0.0))),
+    ("lambda_10", lambda b, al, b1, b2, k1, k2: (
+        b > 0.0 and al > 0.0 and b2 == 0.0 and b1 * k1 > b + al),
+     _isolated(lambda b, al, b1, b2, k1, k2: (*_lambda10_coordinates(b, al, b1 * k1), 0.0))),
+    # NoInteriorPoint means no candidate
+    ("lambda_11", lambda b, al, b1, b2, k1, k2: al * b * b1 * b2 * k1 * k2 > 0.0,
+     lambda label, p: interior_fixed_point(p)),
+    ("Lambda_5", lambda b, al, b1, b2, k1, k2: b == 0.0 and al == 0.0,
+     _family("u = v = 0; x in [0, 1], y = 1 - x",
+             [(t, 0.0, 1.0 - t, 0.0) for t in _EDGE_TS])),
+    ("Lambda_7", lambda b, al, b1, b2, k1, k2: (
+        b == 0.0 and al == 0.0 and b2 == 0.0 and b1 > 0.0),
+     _family("x = 0; u, y, v >= 0 with u + y + v = 1",
+             [(0.0, a, c, d) for a, c, d in _FACE_TS])),
+    ("S3", lambda b, al, b1, b2, k1, k2: (
+        b == 0.0 and al == 0.0 and (k1 == k2 == 0.0 or b1 == b2 == 0.0)),
+     _family("the whole simplex (identity dynamics)", _FULL_TS)),
+    ("Lambda_6", lambda b, al, b1, b2, k1, k2: b == 0.0 and b1 == b2 == 0.0,
+     _family("u = 0; x, y, v >= 0 with x + y + v = 1",
+             [(a, 0.0, c, d) for a, c, d in _FACE_TS])),
+    ("Lambda_8", lambda b, al, b1, b2, k1, k2: (
+        b == 0.0 and b2 == 0.0 and b1 > 0.0 and al > 0.0 and k1 * k2 > 0.0),
+     _family("x = u = 0; y in [0, 1], v = 1 - y",
+             [(0.0, 0.0, t, 1.0 - t) for t in _EDGE_TS])),
+)
 
 
-_LAMBDA_POINTS = {
-    "lambda_1": np.array([1.0, 0.0, 0.0, 0.0]),
-    "lambda_2": np.array([0.0, 0.0, 0.0, 1.0]),
-    "lambda_3": np.array([0.0, 0.0, 1.0, 0.0]),
-    "lambda_4": np.array([0.0, 1.0, 0.0, 0.0]),
-}
-
-
-def fixed_point_set(p: ModelParams, residual_tol: float = RESIDUAL_TOL) -> list[FixedPoint]:
+def fixed_point_set(p: ModelParams) -> list[FixedPoint]:
     """The full catalog of fixed points for admissible rates.
 
-    Evaluates every branch condition (they overlap and are not mutually
-    exclusive), unions the produced candidates, de-duplicates, and keeps
-    exactly those passing the residual bound.  lambda_1 = (1, 0, 0, 0) is
-    always fixed and always listed first.
+    Proposes every ``_CANDIDATES`` row whose condition holds, in table
+    order, and keeps exactly those whose residual is at most RESIDUAL_TOL;
+    an isolated point within 1e-12 of one already kept is dropped.
+    lambda_1 = (1, 0, 0, 0) is always fixed and always listed first.
     """
     require_admissible(p)
-    b, al, b1, b2, k1, k2 = p.as_tuple()
-
-    point_labels: list[str] = ["lambda_1"]
-    family_labels: list[str] = []
-    extra: list[FixedPoint] = []
-
-    if b == 0.0:
-        point_labels += ["lambda_2", "lambda_3"]
-        if al == 0.0:
-            point_labels.append("lambda_4")
-            family_labels.append("Lambda_5")
-            if b2 == 0.0 and b1 > 0.0:
-                family_labels.append("Lambda_7")
-            if (k1 == 0.0 and k2 == 0.0) or (b1 == 0.0 and b2 == 0.0):
-                family_labels.append("S3")
-        if b1 == 0.0 and b2 == 0.0:
-            family_labels.append("Lambda_6")
-        if b2 == 0.0 and b1 > 0.0 and al > 0.0 and k1 * k2 > 0.0:
-            point_labels.append("lambda_4")
-            family_labels.append("Lambda_8")
-    else:
-        if al == 0.0 and b1 * k1 > b:
-            extra.append(FixedPoint("lambda_9", point=lambda9_point(p)))
-        if al > 0.0 and b2 == 0.0 and b1 * k1 > b + al:
-            extra.append(FixedPoint("lambda_10", point=lambda10_point(p)))
-        if al * b * b1 * b2 * k1 * k2 > 0.0:
-            try:
-                extra.append(interior_fixed_point(p, residual_tol))
-            except NoInteriorPoint:
-                pass
-
-    candidates: list[FixedPoint] = []
-    seen: set[str] = set()
-    for label in point_labels:
-        if label not in seen:
-            seen.add(label)
-            candidates.append(FixedPoint(label, point=_LAMBDA_POINTS[label].copy()))
-    candidates.extend(extra)
-    for label in family_labels:
-        if label not in seen:
-            seen.add(label)
-            desc, reps = _family_candidates(label)
-            candidates.append(FixedPoint(label, family=desc, representatives=reps))
-
+    rates = p.as_tuple()
     kept: list[FixedPoint] = []
-    for cand in candidates:
-        res = max(residual(m, p) for m in cand.members())
-        if res > residual_tol:
-            continue  # branch condition fired but the point is not fixed
-        if cand.point is not None and any(
-            k.point is not None and np.max(np.abs(k.point - cand.point)) <= 1e-12
+    for label, when, make in _CANDIDATES:
+        if not when(*rates):
+            continue
+        try:
+            fp = make(label, p)
+        except NoInteriorPoint:
+            continue
+        if fp.residual > RESIDUAL_TOL:
+            continue  # proposed, but not fixed
+        if fp.point is not None and any(
+            k.point is not None and np.max(np.abs(k.point - fp.point)) <= 1e-12
             for k in kept
         ):
             continue
-        stab = None
-        if cand.label == "lambda_1":
-            stab = stability.classify_lambda1(p).classification
-        kept.append(FixedPoint(
-            label=cand.label,
-            point=cand.point,
-            family=cand.family,
-            representatives=cand.representatives,
-            residual=res,
-            stability=stab,
-            note=cand.note,
-        ))
+        kept.append(fp)
     return kept
 
 

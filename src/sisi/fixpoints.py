@@ -331,21 +331,21 @@ _CANDIDATES = (
     # NoInteriorPoint means no candidate
     ("lambda_11", lambda b, al, b1, b2, k1, k2: al * b * b1 * b2 * k1 * k2 > 0.0,
      lambda label, p: interior_fixed_point(p)),
-    ("Lambda_5", lambda b, al, b1, b2, k1, k2: b == 0.0 and al == 0.0,
+    # each family's condition is exactly where all of it is fixed
+    ("Lambda_5", lambda b, al, b1, b2, k1, k2: b == 0.0,
      _family("u = v = 0; x in [0, 1], y = 1 - x",
              [(t, 0.0, 1.0 - t, 0.0) for t in _EDGE_TS])),
     ("Lambda_7", lambda b, al, b1, b2, k1, k2: (
-        b == 0.0 and al == 0.0 and b2 == 0.0 and b1 > 0.0),
+        b == 0.0 and al == 0.0 and (b2 == 0.0 or k1 == k2 == 0.0)),
      _family("x = 0; u, y, v >= 0 with u + y + v = 1",
              [(0.0, a, c, d) for a, c, d in _FACE_TS])),
     ("S3", lambda b, al, b1, b2, k1, k2: (
         b == 0.0 and al == 0.0 and (k1 == k2 == 0.0 or b1 == b2 == 0.0)),
      _family("the whole simplex (identity dynamics)", _FULL_TS)),
-    ("Lambda_6", lambda b, al, b1, b2, k1, k2: b == 0.0 and b1 == b2 == 0.0,
+    ("Lambda_6", lambda b, al, b1, b2, k1, k2: b == 0.0 and b1 * k2 == 0.0 and b2 * k2 == 0.0,
      _family("u = 0; x, y, v >= 0 with x + y + v = 1",
              [(a, 0.0, c, d) for a, c, d in _FACE_TS])),
-    ("Lambda_8", lambda b, al, b1, b2, k1, k2: (
-        b == 0.0 and b2 == 0.0 and b1 > 0.0 and al > 0.0 and k1 * k2 > 0.0),
+    ("Lambda_8", lambda b, al, b1, b2, k1, k2: b == 0.0 and b2 * k2 == 0.0,
      _family("x = u = 0; y in [0, 1], v = 1 - y",
              [(0.0, 0.0, t, 1.0 - t) for t in _EDGE_TS])),
 )

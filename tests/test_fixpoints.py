@@ -1,12 +1,13 @@
-"""Fixed-point catalog: quadratic, interior point, branch table, residuals."""
+"""Fixed-point catalog: quadratic, interior point, candidate table, residuals."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from sisi import fixpoints
-from sisi.model import ModelParams, SimplexPoint, apply_V
+from sisi.model import RESIDUAL_TOL, ModelParams, SimplexPoint, _step, apply_V, validate_params
 from sisi.fixpoints import (
     DegenerateRegime,
     NoInteriorPoint,
@@ -228,12 +229,53 @@ class TestFixedPointSet:
         assert "Lambda_8" in labels
         assert {"lambda_1", "lambda_2", "lambda_3"} <= labels
 
+    def test_b0_lists_the_fixed_edge_u_v_0(self):
+        # b = 0 freezes x and y where A = 0, so the u = v = 0 edge is fixed
+        # even with alpha > 0
+        p = ModelParams(b=0.0, alpha=0.25, beta1=0.5, beta2=0.0, k1=0.5, k2=0.5)
+        labels = [fp.label for fp in fixed_point_set(p)]
+        assert labels == ["lambda_1", "lambda_2", "lambda_3", "Lambda_5", "Lambda_8"]
+
     def test_families_sampled_members_are_fixed(self):
         p = ModelParams(0.0, 0.0, 0.5, 0.0, 1.0, 0.5)  # x=0 face is fixed
         catalog = fixed_point_set(p)
         fam = next(fp for fp in catalog if fp.label == "Lambda_7")
         assert len(fam.representatives) >= 5
         assert fam.residual <= 1e-10
+
+
+class TestListedExactlyWhereFixed:
+    # members chosen here, apart from the catalog's own samples
+    EDGE = (0.1, 0.3, 0.6, 0.9)
+    FACE = ((0.2, 0.3, 0.5), (0.6, 0.1, 0.3), (1 / 3, 1 / 3, 1 / 3), (0.05, 0.9, 0.05))
+    MEMBERS = {
+        "lambda_1": [(1.0, 0.0, 0.0, 0.0)],
+        "lambda_2": [(0.0, 0.0, 0.0, 1.0)],
+        "lambda_3": [(0.0, 0.0, 1.0, 0.0)],
+        "lambda_4": [(0.0, 1.0, 0.0, 0.0)],
+        "Lambda_5": [(t, 0.0, 1.0 - t, 0.0) for t in EDGE],
+        "Lambda_6": [(a, 0.0, c, d) for a, c, d in FACE],
+        "Lambda_7": [(0.0, a, c, d) for a, c, d in FACE],
+        "Lambda_8": [(0.0, 0.0, t, 1.0 - t) for t in EDGE],
+        "S3": [(0.7, 0.1, 0.1, 0.1), (0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.25, 0.25)],
+    }
+
+    def test_rate_free_entries_on_the_dyadic_grid(self):
+        # every admissible rate tuple over six dyadic values (27,630 of them);
+        # at b = 0 the branch table used to leave out fixed families
+        values = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
+        grid = np.array([t for t in itertools.product(values, repeat=6)
+                         if validate_params(ModelParams(*t)).ok])
+        assert len(grid) == 27_630
+        listed = [{fp.label for fp in fixed_point_set(ModelParams(*t))}
+                  for t in grid.tolist()]
+        for label, members in self.MEMBERS.items():
+            fixed = np.ones(len(grid), dtype=bool)
+            for m in members:
+                image = np.array(_step(*m, *grid.T))
+                fixed &= np.max(np.abs(image - np.array(m)[:, None]), axis=0) <= RESIDUAL_TOL
+            shown = np.array([label in labels for labels in listed])
+            assert np.array_equal(shown, fixed), (label, grid[shown != fixed][:3])
 
 
 class TestGridSweep:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sisi.model import ModelParams
+from sisi.stability import BOUNDARY_TOL
 
 __all__ = [
     "WrongRegime",
@@ -138,9 +139,6 @@ class ConjugacyMap:
     def __call__(self, x):
         return self.slope * x + self.intercept
 
-    def inverse(self, y):
-        return (y - self.intercept) / self.slope
-
     @property
     def in_logistic_window(self) -> bool:
         """True when mu sits in the monotone-convergence window (1, 3)."""
@@ -189,8 +187,7 @@ class FixedPoint1D:
     label: str  # "attracting" | "repelling" | "nonhyperbolic"
 
 
-def classify_1d_fixed_points(p: ModelParams,
-                             tol: float = 1e-12) -> tuple[FixedPoint1D, FixedPoint1D]:
+def classify_1d_fixed_points(p: ModelParams) -> tuple[FixedPoint1D, FixedPoint1D]:
     """Stability of the two fixed points of the x-dynamics.
 
     f'(1) = 1 - b + B and f'(b/B) = 1 + b - B, so for B > b the point 1
@@ -201,7 +198,7 @@ def classify_1d_fixed_points(p: ModelParams,
     out = []
     for loc in f.fixed_points:
         d = f.derivative(loc)
-        if abs(abs(d) - 1.0) <= tol:
+        if abs(abs(d) - 1.0) <= BOUNDARY_TOL:
             label = "nonhyperbolic"
         elif abs(d) < 1.0:
             label = "attracting"

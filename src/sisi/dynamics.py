@@ -110,10 +110,6 @@ class PredictedLimit:
     conjectural: bool = False
     note: str = ""
 
-    @property
-    def exact(self) -> bool:
-        return not np.any(np.isnan(self.target))
-
     def pinned_deviation(self, limit: np.ndarray) -> float:
         """Largest deviation over the pinned (non-NaN) coordinates."""
         mask = ~np.isnan(self.target)
@@ -137,10 +133,6 @@ class LimitReport:
     match: bool | None = None
     deviation: float | None = None
 
-    @property
-    def point(self) -> SimplexPoint | None:
-        return None if self.limit is None else SimplexPoint.from_array(self.limit)
-
 
 def _require_budget(max_iter: int, **tolerances: float) -> None:
     """Raise ValueError unless max_iter >= 1 and every tolerance is finite
@@ -150,6 +142,17 @@ def _require_budget(max_iter: int, **tolerances: float) -> None:
     if not all(0.0 <= tol < math.inf for tol in tolerances.values()):
         raise ValueError("tolerances must be >= 0 and finite: "
                          + ", ".join(f"{k}={v!r}" for k, v in tolerances.items()))
+
+
+def _nearest(x, u, y, v, anchors):
+    """(sup-norm distance, label, point) of the anchor nearest to (x, u, y, v),
+    the first on ties; (inf, None, None) when there is none."""
+    best = (math.inf, None, None)
+    for label, a in anchors:
+        dist = max(abs(x - a[0]), abs(u - a[1]), abs(y - a[2]), abs(v - a[3]))
+        if dist < best[0]:
+            best = (dist, label, a)
+    return best
 
 
 def detect_limit(
@@ -230,8 +233,7 @@ def detect_limit(
         # step, so the check cannot fire while slack > 0.
         slack -= step + _SKIP_MARGIN
         if not slack > 0.0:
-            near = min((max(abs(x - a[0]), abs(u - a[1]), abs(y - a[2]), abs(v - a[3]))
-                        for _, a in anchors), default=math.inf)
+            near = _nearest(x, u, y, v, anchors)[0]
             if near <= tol_fix:
                 converged = True
                 break
@@ -239,13 +241,10 @@ def detect_limit(
         if applications >= max_iter:
             break
 
-    cur = (x, u, y, v)
-    limit = np.array(cur) if converged else None
+    limit = np.array((x, u, y, v)) if converged else None
     snapped = None
-    if converged and anchors:
-        dists = [(max(abs(cur[i] - a[i]) for i in range(4)), label, a)
-                 for label, a in anchors]
-        dist, label, a = min(dists, key=lambda t: t[0])
+    if converged:
+        dist, label, a = _nearest(x, u, y, v, anchors)
         if dist <= tol_fix:
             snapped = label
             limit = np.array(a)
@@ -433,16 +432,15 @@ class RegimeCase:
     extra_check: "callable | None" = None
 
 
-def _rejection_sample(rng, draw, attempts: int = 1000) -> tuple[ModelParams, SimplexPoint]:
+def _rejection_sample(rng, draw) -> tuple[ModelParams, SimplexPoint]:
     """Call ``draw(rng) -> (rates, zeros)`` until the rates are admissible,
     then draw a floored start point with the coordinates ``zeros`` at 0."""
-    for _ in range(attempts):
+    for _ in range(1000):
         rates, zeros = draw(rng)
         p = ModelParams(*rates)
         if p.admissible:
             return p, _floored_point(rng, zeros=zeros)
-    raise RegimeUnsatisfiable("no admissible draw after "
-                              f"{attempts} attempts")
+    raise RegimeUnsatisfiable("no admissible draw after 1000 attempts")
 
 
 def _cases_no_susceptibility() -> list[RegimeCase]:
@@ -1082,9 +1080,9 @@ class EquilibriumCurves:
     quadratic: "object | None"  # InteriorQuadratic when defined
 
 
-def equilibrium_curves(p: ModelParams, x_max: float | None = None,
-                       n: int = 513) -> EquilibriumCurves:
-    """Sample the two balance curves on [0, x_max] plus analytic markers."""
+def equilibrium_curves(p: ModelParams, x_max: float | None = None) -> EquilibriumCurves:
+    """Sample the two balance curves at 513 points on [0, x_max], plus
+    analytic markers."""
     b, al, b1, b2, k1, k2 = p.as_tuple()
     if b == 0.0:
         raise DegenerateRegime(
@@ -1108,7 +1106,7 @@ def equilibrium_curves(p: ModelParams, x_max: float | None = None,
         return (b * b1 * k1 / (b + al)
                 + al * b1 * b2 * k2 * t / ((b + b2 * t) * (b + al)))
 
-    xs = np.linspace(0.0, x_max, n)
+    xs = np.linspace(0.0, x_max, 513)
     lin, sat = linear(xs), saturating(xs)
     sign = np.sign(lin - sat)
     # A > 0 only: an exact zero at xs[0] = 0 is the disease-free state

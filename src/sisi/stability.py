@@ -39,6 +39,8 @@ __all__ = [
 UNIT_CIRCLE_TOL = 1e-10
 # Exact-equality tolerance for the closed-form boundary rule.
 BOUNDARY_TOL = 1e-12
+# Relative eigenpair residual an eigenvalue must meet to be accepted.
+_EIGENPAIR_TOL = 1e-8
 
 LAMBDA1 = SimplexPoint(1.0, 0.0, 0.0, 0.0)
 
@@ -60,11 +62,11 @@ def jacobian(s: SimplexPoint, p: ModelParams) -> np.ndarray:
     ])
 
 
-def eigenvalues(J: np.ndarray, residual_tol: float = 1e-8) -> np.ndarray:
+def eigenvalues(J: np.ndarray) -> np.ndarray:
     """The four eigenvalues of a real 4x4 matrix, sorted by (real, imag).
 
     LAPACK (``np.linalg.eig``) computes the eigenpairs.  Each pair is
-    accepted only if ||J v - mu v||_inf <= residual_tol * max(1, ||J||_inf)
+    accepted only if ||J v - mu v||_inf <= _EIGENPAIR_TOL * max(1, ||J||_inf)
     * ||v||_inf; otherwise :class:`NonConvergence` is raised rather than
     guessing.
     """
@@ -76,10 +78,10 @@ def eigenvalues(J: np.ndarray, residual_tol: float = 1e-8) -> np.ndarray:
     mu, V = np.linalg.eig(J)
     scale = max(1.0, float(np.max(np.sum(np.abs(J), axis=1))))
     res = np.max(np.abs(J @ V - V * mu), axis=0)
-    bad = res > residual_tol * scale * np.max(np.abs(V), axis=0)
+    bad = res > _EIGENPAIR_TOL * scale * np.max(np.abs(V), axis=0)
     if np.any(bad):
         raise NonConvergence(
-            f"eigenvalue {mu[bad][0]!r} has eigenpair residual above {residual_tol:g}"
+            f"eigenvalue {mu[bad][0]!r} has eigenpair residual above {_EIGENPAIR_TOL:g}"
         )
     return np.sort_complex(mu)
 
@@ -97,11 +99,11 @@ class StabilityClass:
         return f"{self.classification} (eigenvalues: {eigs})"
 
 
-def classify(eigs, unit_tol: float = UNIT_CIRCLE_TOL) -> StabilityClass:
+def classify(eigs) -> StabilityClass:
     """Three-type classification from an eigenvalue list."""
     eigs = tuple(complex(e) for e in eigs)
     moduli = [abs(e) for e in eigs]
-    if any(abs(m - 1.0) <= unit_tol for m in moduli):
+    if any(abs(m - 1.0) <= UNIT_CIRCLE_TOL for m in moduli):
         kind = "nonhyperbolic"
     elif all(m < 1.0 for m in moduli):
         kind = "attracting"
@@ -112,10 +114,9 @@ def classify(eigs, unit_tol: float = UNIT_CIRCLE_TOL) -> StabilityClass:
     return StabilityClass(kind, eigs)
 
 
-def classify_at(s: SimplexPoint, p: ModelParams,
-                unit_tol: float = UNIT_CIRCLE_TOL) -> StabilityClass:
+def classify_at(s: SimplexPoint, p: ModelParams) -> StabilityClass:
     """Generic classification at an arbitrary point (Jacobian + eigenvalues)."""
-    return classify(eigenvalues(jacobian(s, p)), unit_tol)
+    return classify(eigenvalues(jacobian(s, p)))
 
 
 def lambda1_spectrum(p: ModelParams) -> tuple[float, float, float, float]:
@@ -129,11 +130,10 @@ def lambda1_spectrum(p: ModelParams) -> tuple[float, float, float, float]:
     return (mu1, mu1, mu1, mu2)
 
 
-def classify_lambda1(p: ModelParams,
-                     boundary_tol: float = BOUNDARY_TOL) -> StabilityClass:
+def classify_lambda1(p: ModelParams) -> StabilityClass:
     """Closed-form classification of the disease-free state (1, 0, 0, 0).
 
-    nonhyperbolic  if b = 0 or beta1*k1 = b + alpha (within ``boundary_tol``)
+    nonhyperbolic  if b = 0 or beta1*k1 = b + alpha (within BOUNDARY_TOL)
     attracting     if b > 0 and beta1*k1 < b + alpha
     saddle         if b > 0 and beta1*k1 > b + alpha
 
@@ -143,7 +143,7 @@ def classify_lambda1(p: ModelParams,
     """
     eigs = tuple(complex(m) for m in lambda1_spectrum(p))
     gap = p.beta1 * p.k1 - (p.b + p.alpha)
-    if abs(p.b) <= boundary_tol or abs(gap) <= boundary_tol:
+    if abs(p.b) <= BOUNDARY_TOL or abs(gap) <= BOUNDARY_TOL:
         kind = "nonhyperbolic"
     elif gap < 0.0:
         kind = "attracting"

@@ -157,7 +157,7 @@ class AxiomReport:
         return "valid QSO tensor" if self.ok else "; ".join(map(str, self.violations))
 
 
-def check_axioms(t: QsoTensor, sum_tol: float = IDENTITY_TOL) -> AxiomReport:
+def check_axioms(t: QsoTensor) -> AxiomReport:
     """Report every violated tensor axiom with indices and magnitude."""
     P = t.values
     out: list[AxiomViolation] = []
@@ -170,7 +170,7 @@ def check_axioms(t: QsoTensor, sum_tol: float = IDENTITY_TOL) -> AxiomReport:
         if i < j:
             out.append(AxiomViolation("symmetry", (i + 1, j + 1, k + 1), float(abs(asym[i, j, k]))))
     sums = P.sum(axis=2)
-    for i, j in np.argwhere(np.abs(sums - 1.0) > sum_tol):
+    for i, j in np.argwhere(np.abs(sums - 1.0) > IDENTITY_TOL):
         out.append(AxiomViolation("row-sum", (i + 1, j + 1), float(abs(sums[i, j] - 1.0))))
     return AxiomReport(tuple(out))
 

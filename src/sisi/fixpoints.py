@@ -2,11 +2,14 @@
 
 Isolated fixed points carry the catalog labels lambda_1 ... lambda_11;
 fixed faces of the simplex carry Lambda_5 ... Lambda_8, and S3 marks the
-regimes in which every point is fixed.  Candidates are produced from
-closed-form branch formulas whose conditions overlap, so the catalog is
-assembled by union-and-verify: every candidate must pass the one-step
-residual test ||V(q) - q||_inf <= RESIDUAL_TOL before it is kept.  The
-residual check is ground truth; the branch table is only a guide.
+regimes in which every point is fixed.  One ordered table, _CANDIDATES,
+gives each entry's label, the condition on the rates under which it is
+proposed, and its closed-form point or sampled family members.  The
+conditions overlap, so the catalog is assembled by union-and-verify:
+every proposed candidate must pass the one-step residual test
+||V(q) - q||_inf <= RESIDUAL_TOL before it is kept.  The residual check is
+ground truth; for the isolated points the conditions are only a guide,
+while each family's condition is exactly where all of it is fixed.
 
 The interior fixed point lambda_11 is parametrized by the positive root of
 a quadratic in the equilibrium force of infection A; see
@@ -23,7 +26,6 @@ import numpy as np
 from sisi.model import (
     ModelParams,
     RESIDUAL_TOL,
-    SimplexPoint,
     _step,
     require_admissible,
 )
@@ -275,13 +277,18 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
     return FixedPoint(label="lambda_11", point=point, residual=res, note=note)
 
 
-def _isolated(coords, classify=None):
-    """Row maker: the point coords(b, al, b1, b2, k1, k2) with its residual
-    and, given ``classify``, its closed-form stability."""
+def _lambda1(label, p):
+    """Row maker: (1, 0, 0, 0) with its residual and closed-form stability."""
+    point = np.array([1.0, 0.0, 0.0, 0.0])
+    return FixedPoint(label, point=point, residual=residual(point, p),
+                      stability=stability.classify_lambda1(p).classification)
+
+
+def _isolated(coords):
+    """Row maker: the point coords(b, al, b1, b2, k1, k2) with its residual."""
     def make(label, p):
         point = np.array(coords(*p.as_tuple()))
-        return FixedPoint(label, point=point, residual=residual(point, p),
-                          stability=classify and classify(p).classification)
+        return FixedPoint(label, point=point, residual=residual(point, p))
     return make
 
 
@@ -314,8 +321,7 @@ _FULL_TS = (
 # it is proposed, and how it is made from them.  The conditions overlap and
 # only propose; fixed_point_set keeps what passes the residual check.
 _CANDIDATES = (
-    ("lambda_1", lambda b, al, b1, b2, k1, k2: True,
-     _isolated(lambda *r: (1.0, 0.0, 0.0, 0.0), stability.classify_lambda1)),
+    ("lambda_1", lambda b, al, b1, b2, k1, k2: True, _lambda1),
     ("lambda_2", lambda b, al, b1, b2, k1, k2: b == 0.0,
      _isolated(lambda *r: (0.0, 0.0, 0.0, 1.0))),
     ("lambda_3", lambda b, al, b1, b2, k1, k2: b == 0.0,
@@ -342,7 +348,8 @@ _CANDIDATES = (
     ("S3", lambda b, al, b1, b2, k1, k2: (
         b == 0.0 and al == 0.0 and (k1 == k2 == 0.0 or b1 == b2 == 0.0)),
      _family("the whole simplex (identity dynamics)", _FULL_TS)),
-    ("Lambda_6", lambda b, al, b1, b2, k1, k2: b == 0.0 and b1 * k2 == 0.0 and b2 * k2 == 0.0,
+    ("Lambda_6", lambda b, al, b1, b2, k1, k2: (
+        b == 0.0 and b1 * k2 == 0.0 and b2 * k2 == 0.0),
      _family("u = 0; x, y, v >= 0 with x + y + v = 1",
              [(a, 0.0, c, d) for a, c, d in _FACE_TS])),
     ("Lambda_8", lambda b, al, b1, b2, k1, k2: b == 0.0 and b2 * k2 == 0.0,

@@ -8,8 +8,8 @@ proposed, and its closed-form point or sampled family members.  The
 conditions overlap, so the catalog is assembled by union-and-verify:
 every proposed candidate must pass the one-step residual test
 ||V(q) - q||_inf <= RESIDUAL_TOL before it is kept.  The residual check is
-ground truth; for the isolated points the conditions are only a guide,
-while each family's condition is exactly where all of it is fixed.
+ground truth and the conditions only propose, though each family's
+condition is exactly where all of it is fixed.
 
 The interior fixed point lambda_11 is parametrized by the positive root of
 a quadratic in the equilibrium force of infection A; see
@@ -238,6 +238,23 @@ class FixedPoint:
         return self.representatives
 
 
+_EDGE_TS = (0.05, 0.275, 0.5, 0.725, 0.95)
+_FACE_TS = (
+    (0.8, 0.15, 0.05),
+    (0.1, 0.8, 0.1),
+    (0.05, 0.15, 0.8),
+    (1 / 3, 1 / 3, 1 / 3),
+    (0.5, 0.25, 0.25),
+)
+_FULL_TS = (
+    (0.7, 0.1, 0.1, 0.1),
+    (0.1, 0.7, 0.1, 0.1),
+    (0.1, 0.1, 0.7, 0.1),
+    (0.1, 0.1, 0.1, 0.7),
+    (0.25, 0.25, 0.25, 0.25),
+)
+
+
 def interior_fixed_point(p: ModelParams) -> FixedPoint:
     """The fully interior fixed point lambda_11.
 
@@ -301,22 +318,6 @@ def _family(description, members):
     return make
 
 
-_EDGE_TS = (0.05, 0.275, 0.5, 0.725, 0.95)
-_FACE_TS = (
-    (0.8, 0.15, 0.05),
-    (0.1, 0.8, 0.1),
-    (0.05, 0.15, 0.8),
-    (1 / 3, 1 / 3, 1 / 3),
-    (0.5, 0.25, 0.25),
-)
-_FULL_TS = (
-    (0.7, 0.1, 0.1, 0.1),
-    (0.1, 0.7, 0.1, 0.1),
-    (0.1, 0.1, 0.7, 0.1),
-    (0.1, 0.1, 0.1, 0.7),
-    (0.25, 0.25, 0.25, 0.25),
-)
-
 # The catalog's candidates in listing order: a label, the rates under which
 # it is proposed, and how it is made from them.  The conditions overlap and
 # only propose; fixed_point_set keeps what passes the residual check.
@@ -326,8 +327,7 @@ _CANDIDATES = (
      _isolated(lambda *r: (0.0, 0.0, 0.0, 1.0))),
     ("lambda_3", lambda b, al, b1, b2, k1, k2: b == 0.0,
      _isolated(lambda *r: (0.0, 0.0, 1.0, 0.0))),
-    ("lambda_4", lambda b, al, b1, b2, k1, k2: b == 0.0 and (
-        al == 0.0 or b2 == 0.0 and b1 > 0.0 and k1 * k2 > 0.0),
+    ("lambda_4", lambda b, al, b1, b2, k1, k2: b == 0.0 and al == 0.0,
      _isolated(lambda *r: (0.0, 1.0, 0.0, 0.0))),
     ("lambda_9", lambda b, al, b1, b2, k1, k2: b > 0.0 and al == 0.0 and b1 * k1 > b,
      _isolated(lambda b, al, b1, b2, k1, k2: (*_lambda9_coordinates(b, b1 * k1), 0.0, 0.0))),

@@ -220,8 +220,7 @@ class TestFixedPointSet:
                     assert residual(member, p) <= 1e-10
 
     def test_pure_infected_vertex_dropped_when_not_fixed(self):
-        # branch table offers (0,1,0,0) for b=beta2=0, alpha>0, k1*k2>0, but
-        # u decays there (u' = 1 - alpha); union-and-verify must drop it
+        # (0,1,0,0) is not fixed for alpha > 0: u decays (u' = 1 - alpha)
         p = ModelParams(b=0.0, alpha=0.3, beta1=0.5, beta2=0.0, k1=1.0, k2=0.5)
         catalog = fixed_point_set(p)
         labels = {fp.label for fp in catalog}
@@ -261,8 +260,8 @@ class TestListedExactlyWhereFixed:
     }
 
     def test_rate_free_entries_on_the_dyadic_grid(self):
-        # every admissible rate tuple over six dyadic values (27,630 of them);
-        # at b = 0 the branch table used to leave out fixed families
+        # every admissible rate tuple over six dyadic values (27,630 of them),
+        # so each rate is 0 in some tuples, which is where families appear
         values = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
         grid = np.array([t for t in itertools.product(values, repeat=6)
                          if validate_params(ModelParams(*t)).ok])

@@ -47,6 +47,19 @@ class TestBuildTensor:
         p = ModelParams(b=0.0, alpha=0.0, beta1=4.0, beta2=0.0, k1=0.0, k2=1.0)
         with pytest.raises(InadmissibleParams, match=r"P_\{\d\d,\d\} = .* outside"):
             build_tensor(p)
+        # several entries lie outside [0, 1]; the first in C order is named
+        for rates, first in [
+            ((0.0, 0.0, 4.0, 0.0, 0.0, 1.0), "P_{14,1} = -1.5"),          # 4 entries
+            ((0.5, 0.5, 3.0, 3.0, 1.0, 1.0), "P_{12,1} = -0.75"),
+            ((0.9, 0.1, 0.0, 2.5, 1.0, 0.6), "P_{12,2} = -1.3877787807814457e-17"),
+            ((0.0, 0.0, 0.5, 2.0, 2.0, 1.0), "P_{23,3} = -1.5"),
+        ]:
+            p = ModelParams(*rates)
+            P = heredity_values(p)
+            assert np.count_nonzero((P < 0.0) | (P > 1.0)) >= 4
+            with pytest.raises(InadmissibleParams) as exc:
+                build_tensor(p)
+            assert str(exc.value) == f"{first} lies outside [0, 1]"
 
     @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_rate(self, value):
@@ -80,6 +93,31 @@ class TestCheckAxioms:
         report = check_axioms(QsoTensor(values))
         hits = [v for v in report.violations if v.axiom == "symmetry"]
         assert hits and hits[0].indices == (1, 2, 1)
+
+    def test_full_report_pinned(self):
+        # all four axioms broken: kinds in a fixed order, each in C order
+        values = heredity_values(ModelParams(0.25, 0.25, 0.5, 0.5, 1.0, 0.5))
+        values[0, 2, 1] = -0.125
+        values[3, 3, 3] = 1.5
+        values[2, 1, 0] += 0.25
+        values[1, 0, 3] = -0.0625
+        report = check_axioms(QsoTensor(values))
+        assert [(v.axiom, v.indices, v.magnitude) for v in report.violations] == [
+            ("non-negative", (1, 3, 2), 0.125),
+            ("non-negative", (2, 1, 4), 0.0625),
+            ("bounded", (4, 4, 4), 0.5),
+            ("symmetry", (1, 2, 4), 0.0625),
+            ("symmetry", (1, 3, 2), 0.125),
+            ("symmetry", (2, 3, 1), 0.25),
+            ("row-sum", (1, 3), 0.125),
+            ("row-sum", (2, 1), 0.0625),
+            ("row-sum", (3, 2), 0.25),
+            ("row-sum", (4, 4), 0.75),
+        ]
+        assert str(report).startswith(
+            "non-negative violated at (1,3,2) by 0.125; "
+            "non-negative violated at (2,1,4) by 0.0625; bounded violated at (4,4,4)")
+        assert str(report).endswith("row-sum violated at (4,4) by 0.75")
 
     def test_bound_violation_from_inadmissible_rates(self):
         p = ModelParams(b=0.0, alpha=0.0, beta1=4.0, beta2=0.0, k1=0.0, k2=1.0)

@@ -55,8 +55,9 @@ class NoInteriorPoint(ValueError):
 
 def residual(point: np.ndarray, p: ModelParams) -> float:
     """One-step fixed-point residual ||V(q) - q||_inf."""
-    image = _step(*(float(c) for c in point), *p.as_tuple())
-    return max(abs(a - b) for a, b in zip(image, point))
+    x, u, y, v = np.asarray(point, dtype=float).tolist()
+    x1, u1, y1, v1 = _step(x, u, y, v, *p.as_tuple())
+    return max(abs(x1 - x), abs(u1 - u), abs(y1 - y), abs(v1 - v))
 
 
 @dataclass(frozen=True)
@@ -369,6 +370,7 @@ def fixed_point_set(p: ModelParams) -> list[FixedPoint]:
     require_admissible(p)
     rates = p.as_tuple()
     kept: list[FixedPoint] = []
+    points: list[list[float]] = []  # coordinates of the kept isolated points
     for label, when, make in _CANDIDATES:
         if not when(*rates):
             continue
@@ -378,11 +380,13 @@ def fixed_point_set(p: ModelParams) -> list[FixedPoint]:
             continue
         if fp.residual > RESIDUAL_TOL:
             continue  # proposed, but not fixed
-        if fp.point is not None and any(
-            k.point is not None and np.max(np.abs(k.point - fp.point)) <= 1e-12
-            for k in kept
-        ):
-            continue
+        if fp.point is not None:
+            x, u, y, v = q = fp.point.tolist()
+            if any(abs(a - x) <= 1e-12 and abs(b - u) <= 1e-12
+                   and abs(c - y) <= 1e-12 and abs(d - v) <= 1e-12
+                   for a, b, c, d in points):
+                continue
+            points.append(q)
         kept.append(fp)
     return kept
 

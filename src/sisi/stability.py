@@ -73,13 +73,13 @@ def eigenvalues(J: np.ndarray) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {J.shape}")
-    if not np.all(np.isfinite(J)):
+    if not np.isfinite(J).all():
         raise ValueError("matrix entries must be finite")
     mu, V = np.linalg.eig(J)
-    scale = max(1.0, float(np.max(np.sum(np.abs(J), axis=1))))
-    res = np.max(np.abs(J @ V - V * mu), axis=0)
-    bad = res > _EIGENPAIR_TOL * scale * np.max(np.abs(V), axis=0)
-    if np.any(bad):
+    scale = max(1.0, float(abs(J).sum(axis=1).max()))
+    res = abs(J @ V - V * mu).max(axis=0)
+    bad = res > _EIGENPAIR_TOL * scale * abs(V).max(axis=0)
+    if np.count_nonzero(bad):
         raise NonConvergence(
             f"eigenvalue {mu[bad][0]!r} has eigenpair residual above {_EIGENPAIR_TOL:g}"
         )
@@ -116,7 +116,7 @@ def classify(eigs) -> StabilityClass:
 
 def classify_at(s: SimplexPoint, p: ModelParams) -> StabilityClass:
     """Generic classification at an arbitrary point (Jacobian + eigenvalues)."""
-    return classify(eigenvalues(jacobian(s, p)))
+    return classify(eigenvalues(jacobian(s, p)).tolist())
 
 
 def lambda1_spectrum(p: ModelParams) -> tuple[float, float, float, float]:

@@ -71,11 +71,11 @@ def heredity_values(p: ModelParams) -> np.ndarray:
     (j, i) makes the array symmetric by construction.
     """
     b, al, b1, b2, k1, k2 = p.as_tuple()
-    P = np.zeros((4, 4, 4))
+    P = [0.0] * 64  # C order: P[i, j, k] is entry 16*i + 4*j + k (0-based)
 
     def put(i: int, j: int, k: int, value: float) -> None:
-        P[i - 1, j - 1, k - 1] = value
-        P[j - 1, i - 1, k - 1] = value
+        P[16 * i + 4 * j + k - 21] = value
+        P[16 * j + 4 * i + k - 21] = value
 
     # image component 1: susceptibles
     put(1, 1, 1, 1.0)
@@ -108,7 +108,7 @@ def heredity_values(p: ModelParams) -> np.ndarray:
     put(2, 4, 4, (1 - b) / 2)
     put(3, 4, 4, (1 - b + b2 * k2) / 2)
     put(4, 4, 4, 1 - b)
-    return P
+    return np.array(P, dtype=float).reshape(4, 4, 4)
 
 
 def build_tensor(p: ModelParams, validate: bool = True) -> QsoTensor:
@@ -124,9 +124,9 @@ def build_tensor(p: ModelParams, validate: bool = True) -> QsoTensor:
     _check_rates(p)
     P = heredity_values(p)
     if validate:
-        bad = np.argwhere((P < 0.0) | (P > 1.0))
-        if bad.size:
-            i, j, k = bad[0]
+        bad = (P < 0.0) | (P > 1.0)
+        if np.count_nonzero(bad):
+            i, j, k = (int(a[0]) for a in np.nonzero(bad))  # first in C order
             raise InadmissibleParams(
                 f"P_{{{i + 1}{j + 1},{k + 1}}} = {P[i, j, k]:.17g} "
                 "lies outside [0, 1]"
@@ -157,21 +157,28 @@ class AxiomReport:
         return "valid QSO tensor" if self.ok else "; ".join(map(str, self.violations))
 
 
+def _hits(mask: np.ndarray):
+    """0-based indices of the True entries of ``mask``, in C order."""
+    if not np.count_nonzero(mask):
+        return ()
+    return zip(*(a.tolist() for a in np.nonzero(mask)))
+
+
 def check_axioms(t: QsoTensor) -> AxiomReport:
     """Report every violated tensor axiom with indices and magnitude."""
     P = t.values
     out: list[AxiomViolation] = []
-    for i, j, k in np.argwhere(P < 0.0):
+    for i, j, k in _hits(P < 0.0):
         out.append(AxiomViolation("non-negative", (i + 1, j + 1, k + 1), float(-P[i, j, k])))
-    for i, j, k in np.argwhere(P > 1.0):
+    for i, j, k in _hits(P > 1.0):
         out.append(AxiomViolation("bounded", (i + 1, j + 1, k + 1), float(P[i, j, k] - 1.0)))
     asym = P - P.transpose(1, 0, 2)
-    for i, j, k in np.argwhere(asym != 0.0):
+    for i, j, k in _hits(asym != 0.0):
         if i < j:
             out.append(AxiomViolation("symmetry", (i + 1, j + 1, k + 1), float(abs(asym[i, j, k]))))
-    sums = P.sum(axis=2)
-    for i, j in np.argwhere(np.abs(sums - 1.0) > IDENTITY_TOL):
-        out.append(AxiomViolation("row-sum", (i + 1, j + 1), float(abs(sums[i, j] - 1.0))))
+    off = abs(P.sum(axis=2) - 1.0)
+    for i, j in _hits(off > IDENTITY_TOL):
+        out.append(AxiomViolation("row-sum", (i + 1, j + 1), float(off[i, j])))
     return AxiomReport(tuple(out))
 
 

@@ -36,6 +36,7 @@ from sisi.fixpoints import fixed_point_set
 from sisi.stability import LAMBDA1, classify_at, classify_lambda1
 from sisi.conjugacy import (
     QuadraticMap1D,
+    _require_edge_regime,
     classify_1d_fixed_points,
     conjugacy_map,
     verify_conjugacy,
@@ -155,7 +156,7 @@ _READS = {
     "simulate": ("params", "figure", "init", "max_iter", "tol_step", "tol_fix"),
     "fixpoints": ("params", "figure"),
     "classify": ("params", "figure", "init", "format"),
-    "conjugacy": ("params", "figure", "grid", "root"),
+    "conjugacy": ("params", "grid", "root"),
     "scan": ("seed", "conjecture", "inits"),
     "tensor-dump": ("params", "figure"),
 }
@@ -349,6 +350,7 @@ def cmd_classify(args) -> int:
 def cmd_conjugacy(args) -> int:
     cfg = _resolve(args)
     p = _require_params(cfg)
+    _require_edge_regime(p)  # the 1-D reduction holds only there
     if p.beta1 * p.k1 <= 0.0:
         raise ConfigError("conjugacy needs beta1*k1 > 0")
     cm = conjugacy_map(p, root=args.root)

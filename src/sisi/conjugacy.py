@@ -51,10 +51,10 @@ class DegenerateInput(ValueError):
 
 
 def _require_edge_regime(p: ModelParams) -> None:
-    if p.alpha != 0.0 or p.k2 != 0.0:
-        raise WrongRegime(
-            f"requires alpha = k2 = 0, got alpha={p.alpha!r}, k2={p.k2!r}"
-        )
+    off = [f"{name}={rate!r}" for name, rate in (("alpha", p.alpha), ("k2", p.k2))
+           if rate != 0.0]
+    if off:
+        raise WrongRegime(f"requires alpha = k2 = 0, got {', '.join(off)}")
 
 
 def edge_map(x: float, u: float, p: ModelParams) -> tuple[float, float]:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from sisi.cli import main
+from sisi.cli import _FIGURES, main
 
 FIG1_ARGS = ["--params", "b=0.6", "alpha=0.2", "beta1=0.5", "k1=1", "k2=0.3"]
 
@@ -157,6 +157,23 @@ class TestConjugacy:
     def test_requires_infection_product(self):
         assert main(["conjugacy", "--params", "b=0.2"]) == 2
 
+    @pytest.mark.parametrize("rates,named", [
+        (["alpha=0.1"], "alpha=0.1"), (["k2=0.3"], "k2=0.3"),
+        (["alpha=0.25", "k2=0.5"], "alpha=0.25, k2=0.5"),
+    ], ids=["alpha", "k2", "both"])
+    def test_requires_no_recovery_edge(self, rates, named, capsys):
+        # the 1-D reduction holds only at alpha = k2 = 0
+        assert main(["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1", *rates]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: requires alpha = k2 = 0, got {named}\n"
+
+    def test_figure_presets_are_off_the_edge(self, capsys):
+        # every preset has alpha > 0, so conjugacy takes no --figure
+        assert all(rates[1] > 0.0 for rates, _, _ in _FIGURES.values())
+        assert main(["conjugacy", "--figure", "1"]) == 2
+        assert "unrecognized arguments: --figure" in capsys.readouterr().err
+
     def test_empty_grid_is_bad_input(self, capsys):
         assert main(["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1",
                      "--grid", "0"]) == 2
@@ -189,7 +206,9 @@ class TestScan:
     def test_unread_flags_are_rejected(self, case, tmp_path):
         # each subcommand registers only the flags it reads
         command, flag = case
-        base = ["--conjecture", "1"] if command == "scan" else ["--figure", "1"]
+        base = {"scan": ["--conjecture", "1"],
+                "conjugacy": ["--params", "b=0.2", "beta1=0.6", "k1=1"]}.get(
+                    command, ["--figure", "1"])
         out = tmp_path / "report"
         assert main([command, *base, "--out", str(out), *flag]) == 2
         assert not out.exists()
@@ -235,6 +254,8 @@ class TestInputKeys:
     def test_unread_key_is_named(self, argv, pair, source, tmp_path, capsys):
         # a typo'd rate key must not leave the rate at its default 0
         rates = ["b=0.6", "alpha=0.2", "k1=1", "k2=0.3"]
+        if argv == ["conjugacy"]:
+            rates = ["b=0.2", "beta1=0.6", "k1=1"]  # the no-recovery edge
         if source == "config":
             cfg = tmp_path / "run.cfg"
             cfg.write_text("\n".join([*rates, pair]) + "\n")

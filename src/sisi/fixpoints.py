@@ -177,7 +177,7 @@ def _balance_gap(p: ModelParams, A: float) -> float:
     return first + second - 1.0
 
 
-def interior_quadratic(p: ModelParams, cross_check: bool = True) -> InteriorQuadratic:
+def interior_quadratic(p: ModelParams) -> InteriorQuadratic:
     """Coefficients and real roots of the interior equilibrium quadratic.
 
     The positive root r (largest root > 0, when one exists) is cross-checked
@@ -204,7 +204,7 @@ def interior_quadratic(p: ModelParams, cross_check: bool = True) -> InteriorQuad
     else:
         roots = tuple(sorted(float(r) for r in _roots(c2, c1, c0, disc)))
     positive = max((r for r in roots if r > 0.0), default=None)
-    if cross_check and positive is not None and roots[0] < positive and min(p.as_tuple()) > 0.0:
+    if positive is not None and roots[0] < positive and min(p.as_tuple()) > 0.0:
         b, al, b1, b2, _, _ = p.as_tuple()
         tol = 1e-12 * max(1.0, positive)
         D = (b + b1 * positive) * (b + b2 * positive) * (b + al)

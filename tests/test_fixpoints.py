@@ -126,7 +126,7 @@ class TestBracketedRoot:
         found = 0
         while found < 200:
             p = random_admissible(rng)
-            quad = interior_quadratic(p, cross_check=False)
+            quad = interior_quadratic(p)
             root = quad.positive_root
             if min(p.as_tuple()) <= 0.0 or root is None or len(quad.roots) < 2:
                 continue

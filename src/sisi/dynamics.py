@@ -1110,7 +1110,7 @@ def equilibrium_curves(p: ModelParams, x_max: float | None = None) -> Equilibriu
     lin, sat = linear(xs), saturating(xs)
     sign = np.sign(lin - sat)
     # A > 0 only: an exact zero at xs[0] = 0 is the disease-free state
-    zeros = [float(xs[i]) for i in np.nonzero(sign[1:] == 0.0)[0] + 1]
+    zeros = xs[1:][sign[1:] == 0.0].tolist()
     flips = [bracketed_root(lambda t: linear(t) - saturating(t), float(xs[i]), float(xs[i + 1]))
              for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]]
     crossings = sorted(zeros + flips)

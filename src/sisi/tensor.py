@@ -71,7 +71,7 @@ def heredity_values(p: ModelParams) -> np.ndarray:
     (j, i) makes the array symmetric by construction.
     """
     b, al, b1, b2, k1, k2 = p.as_tuple()
-    P = [0.0] * 64  # C order: P[i, j, k] is entry 16*i + 4*j + k (0-based)
+    P = [0.0] * 64  # in C order: 1-based (i, j, k) is entry 16*i + 4*j + k - 21
 
     def put(i: int, j: int, k: int, value: float) -> None:
         P[16 * i + 4 * j + k - 21] = value

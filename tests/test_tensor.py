@@ -49,7 +49,7 @@ class TestBuildTensor:
             build_tensor(p)
         # several entries lie outside [0, 1]; the first in C order is named
         for rates, first in [
-            ((0.0, 0.0, 4.0, 0.0, 0.0, 1.0), "P_{14,1} = -1.5"),          # 4 entries
+            ((0.0, 0.0, 4.0, 0.0, 0.0, 1.0), "P_{14,1} = -1.5"),
             ((0.5, 0.5, 3.0, 3.0, 1.0, 1.0), "P_{12,1} = -0.75"),
             ((0.9, 0.1, 0.0, 2.5, 1.0, 0.6), "P_{12,2} = -1.3877787807814457e-17"),
             ((0.0, 0.0, 0.5, 2.0, 2.0, 1.0), "P_{23,3} = -1.5"),

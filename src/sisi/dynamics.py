@@ -9,7 +9,9 @@ This module provides
 * :func:`predicted_limit` -- the target of the first rule that holds in
   ``_RULES``, one ordered table of the proven limit rules and the two
   conjectured dichotomies, with conjectural predictions flagged as such;
-* :func:`verify_proposition` -- randomized agreement suites per regime;
+* :func:`verify_proposition` -- seeded randomized agreement suites, one
+  per proven rule of the same table (:func:`list_regimes`), whose trials
+  are generic draws kept where that rule is the first that holds;
 * :func:`conjecture_scan` -- deterministic grid scans that read the same
   table on columns, claim a (cell, initial point) row exactly when its
   first rule is the conjecture's, and give every row a verdict, returned
@@ -176,9 +178,9 @@ def detect_limit(
     Proximity is checked exactly, against every cataloged point; the check
     is skipped only on steps where a rounding-safe lower bound on the
     distance to the catalog (the last checked distance minus every step
-    since) excludes a hit, so skipping changes no result.  Both tolerances
-    must be finite and >= 0.  When ``visited`` is a list, it receives
-    ``s0`` and then every state the loop moves to, as 4-tuples.
+    since) excludes a hit, so skipping changes no result.  All three
+    tolerances must be finite and >= 0.  When ``visited`` is a list, it
+    receives ``s0`` and then every state the loop moves to, as 4-tuples.
 
     The step is the sup-norm of the move, taken with comparisons: every
     coordinate is finite, so it equals ``max(abs(...))`` bit for bit (an
@@ -189,7 +191,7 @@ def detect_limit(
         catalog = fixed_point_set(p)
     else:
         require_admissible(p)
-    _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix)
+    _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix, match_tol=match_tol)
     anchors = [(fp.label, fp.point.tolist()) for fp in catalog if fp.point is not None]
     b, al, b1, b2, k1, k2 = p.as_tuple()
 
@@ -270,7 +272,12 @@ class _Rule:
     """Where the premise of ``source`` (see ``_PREMISES``) and ``when`` hold,
     and no earlier rule does, the limit is ``target``: a label of ``_POINTS``
     or the four coordinates, NaN where the limit depends on the start.  All
-    three take :func:`_inputs` and work elementwise."""
+    three take :func:`_inputs` and work elementwise.
+
+    For :func:`verify_proposition`: ``_gap``, also on :func:`_inputs`, is
+    the signed distance to the threshold the convergence rate depends on
+    (geometric only away from it), and ``_reading`` summarizes the agreeing
+    trials' start and limit rows."""
 
     regime: str
     source: str
@@ -278,6 +285,8 @@ class _Rule:
     target: str | Callable
     conjectural: bool = False
     note: str = ""
+    _gap: Callable | None = None
+    _reading: Callable | None = None
 
 
 def _fixed(point, rates, tol):
@@ -300,6 +309,20 @@ def _root(a):
     """The interior quadratic's largest root, elementwise (NaN where none)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.fmax(*_roots(*_quadratic(a.b, a.al, a.b1, a.b2, a.k1, a.k2)))
+
+
+def _u_growth(rows) -> dict:
+    """The open reading question: does the u-limit stay at u0?  Read on
+    starts with x0 > 0 only, where the u-limit exceeds u0 (with A0 > 0);
+    a start with x0 = 0 keeps u = u0."""
+    lifts = [rec["limit"][1] - rec["s0"][1] for rec in rows if rec["s0"][0] > 0.0]
+    if not lifts:
+        return {}
+    return {
+        "u_lift_min": float(min(lifts)),
+        "u_lift_max": float(max(lifts)),
+        "u_stays_at_u0_count": int(sum(1 for d in lifts if abs(d) <= LIMIT_TOL)),
+    }
 
 
 _POINTS = {  # catalog points fixed by the rates alone
@@ -345,7 +368,8 @@ _RULES = (
     _Rule("no-turnover/beta1>0,beta2>0", SRC_NO_TURNOVER,
           lambda a: (a.b1 > 0.0) & (a.b2 > 0.0) & (a.k1 * a.k2 > 0.0),
           lambda a: (0.0, np.nan, 0.0, np.nan),
-          note="the u-limit is >= u0 and depends on the initial point; v-limit = 1 - u-limit"),
+          note="the u-limit is >= u0 and depends on the initial point; v-limit = 1 - u-limit",
+          _reading=_u_growth),
     _Rule("recovered-susceptibility/b>0,alpha=0", SRC_RECOVERED_ONLY,
           lambda a: (a.b > 0.0) & (a.al == 0.0), "lambda_1"),
     _Rule("recovered-susceptibility/b>0,alpha>0", SRC_RECOVERED_ONLY,
@@ -356,8 +380,9 @@ _RULES = (
     _Rule("recovered-susceptibility/b=0,alpha>0,k2>0", SRC_RECOVERED_ONLY,
           lambda a: (a.al > 0.0) & (a.A0 > 0.0), lambda a: (a.x, 0.0, 0.0, 1.0 - a.x)),
     _Rule("no-recovery/disease-free", SRC_NO_RECOVERY,
-          lambda a: (a.u == 0.0) | (a.bk <= a.b), "lambda_1"),
-    _Rule("no-recovery/persistent", SRC_NO_RECOVERY, lambda a: True, "lambda_9"),
+          lambda a: (a.u == 0.0) | (a.bk <= a.b), "lambda_1", _gap=lambda a: a.bk - a.b),
+    _Rule("no-recovery/persistent", SRC_NO_RECOVERY, lambda a: True, "lambda_9",
+          _gap=lambda a: a.bk - a.b),
     _Rule("no-reinfection/b=0,A0=0", SRC_NO_REINFECTION,
           lambda a: (a.b == 0.0) & (a.A0 == 0.0), lambda a: (a.x, 0.0, 1.0 - a.x - a.v, a.v)),
     _Rule("no-reinfection/b=0,k2v0>0", SRC_NO_REINFECTION,
@@ -368,12 +393,20 @@ _RULES = (
     _Rule("no-reinfection/b*alpha>0,A0=0", SRC_NO_REINFECTION,
           lambda a: (a.b > 0.0) & (a.A0 == 0.0), "lambda_1"),
     _Rule("no-reinfection/b*alpha>0,k2v0=0,beta1k1<=b+alpha", SRC_NO_REINFECTION,
-          lambda a: (a.b > 0.0) & (a.k2 * a.v == 0.0) & (a.bk <= a.joint), "lambda_1"),
+          lambda a: (a.b > 0.0) & (a.k2 * a.v == 0.0) & (a.bk <= a.joint), "lambda_1",
+          _gap=lambda a: a.bk - a.joint),
     _Rule("boundary-conjecture/beta1k1<=b+alpha", SRC_BOUNDARY_CONJ,
           lambda a: (a.bk <= a.joint) & (a.k2 * a.v > 0.0), "lambda_1", conjectural=True),
     _Rule("boundary-conjecture/beta1k1>b+alpha", SRC_BOUNDARY_CONJ,
           lambda a: (a.bk > a.joint) & (a.u + a.v > 0.0), "lambda_10", conjectural=True),
 )
+
+
+def _first_rule(a) -> np.ndarray:
+    """Each row's first rule that holds on :func:`_inputs` ``a``, as an
+    index into ``_RULES`` (-1 for none)."""
+    held = [_PREMISES[rule.source](a) & rule.when(a) for rule in _RULES]
+    return np.select(held, list(range(len(_RULES))), -1)
 
 
 def _apply_rules(rates, start) -> tuple[np.ndarray, np.ndarray]:
@@ -382,8 +415,7 @@ def _apply_rules(rates, start) -> tuple[np.ndarray, np.ndarray]:
     target with a last axis of 4 (NaN for none).  Rows whose rates are not
     admissible get an arbitrary rule."""
     a = _inputs(rates, start)
-    held = [_PREMISES[rule.source](a) & rule.when(a) for rule in _RULES]
-    first = np.select(held, list(range(len(_RULES))), -1)
+    first = _first_rule(a)
     targets = np.full(first.shape + (4,), np.nan)
     for i in np.unique(first[first >= 0]).tolist():
         target = _RULES[i].target
@@ -410,260 +442,73 @@ def predicted_limit(s0: SimplexPoint, p: ModelParams) -> PredictedLimit | None:
 
 
 # --------------------------------------------------------------------------
-# randomized per-regime verification suites
+# randomized per-rule verification suites
 
 
-def _floored_point(rng: np.random.Generator, zeros: tuple[int, ...] = ()) -> SimplexPoint:
-    """Random simplex point with every free coordinate >= 0.1."""
-    free = [i for i in range(4) if i not in zeros]
-    raw = rng.dirichlet(np.ones(len(free)))
-    pt = np.zeros(4)
-    floor = 0.1
-    pt[free] = floor + raw * (1.0 - floor * len(free))
-    return SimplexPoint.from_array(pt)
+def _admissible(cells: np.ndarray) -> np.ndarray:
+    """validate_params on each row of (n, 6) rates: every rate finite and
+    >= 0, no inequality violated.  An infinite rate gives inf*0 = NaN terms,
+    which violate nothing; its row fails on the rates."""
+    admissible = np.all(_rate_ok(cells), axis=1)
+    rates = cells.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _, value, bound in _CONDITIONS:
+            admissible &= ~(value(*rates) > bound)
+    return admissible
 
 
-@dataclass(frozen=True)
-class RegimeCase:
-    name: str
-    description: str
-    sample: "callable"
-    expected_regimes: tuple[str, ...]
-    extra_check: "callable | None" = None
+# The suites' candidate draws and their cap (see verify_proposition)
+_RATE_HI = (0.9, 0.95, 1.2, 1.2, 1.5, 1.5)
+_BATCH = 4096
+_MAX_DRAWS = 1024 * _BATCH
+_GAP_MARGIN = 0.02
 
 
-def _rejection_sample(rng, draw) -> tuple[ModelParams, SimplexPoint]:
-    """Call ``draw(rng) -> (rates, zeros)`` until the rates are admissible,
-    then draw a floored start point with the coordinates ``zeros`` at 0."""
-    for _ in range(1000):
-        rates, zeros = draw(rng)
-        p = ModelParams(*rates)
-        if p.admissible:
-            return p, _floored_point(rng, zeros=zeros)
-    raise RegimeUnsatisfiable("no admissible draw after 1000 attempts")
+def _draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``n`` candidate (rates, start) rows; a draw with all four start
+    coordinates 0 is dropped."""
+    rates = np.where(rng.random((n, 6)) < 0.4, 0.0, rng.uniform(0.05, _RATE_HI, (n, 6)))
+    free = rng.random((n, 4)) >= 0.25
+    # exponential weights on the free coordinates: Dirichlet(1, ..., 1) on them
+    weights = rng.exponential(size=(n, 4)) * free
+    some = free.any(axis=1)
+    rates, free, weights = rates[some], free[some], weights[some]
+    room = 1.0 - 0.1 * free.sum(axis=1, keepdims=True)
+    starts = np.where(free, 0.1 + weights / weights.sum(axis=1, keepdims=True) * room, 0.0)
+    return rates, starts
 
 
-def _cases_no_susceptibility() -> list[RegimeCase]:
-    def identity_draw(rng):
-        return (0.0, 0.0, 0.0, 0.0, rng.uniform(0, 1.5), rng.uniform(0, 1.5)), ()
-
-    def decay_draw(rng):
-        return (0.0, rng.uniform(0.05, 0.95), 0.0, 0.0,
-                rng.uniform(0, 1.5), rng.uniform(0, 1.5)), ()
-
-    def birth_draw(rng):
-        b = rng.uniform(0.05, 0.9)
-        return (b, rng.uniform(0.0, max(0.0, 0.95 - b)), 0.0, 0.0,
-                rng.uniform(0, 1.5), rng.uniform(0, 1.5)), ()
-
-    return [
-        RegimeCase("no-susceptibility/alpha=b=0",
-                   "identity dynamics; every point is fixed",
-                   identity_draw, ("fixed-initial",)),
-        RegimeCase("no-susceptibility/b=0,alpha>0",
-                   "infected recover, x and v frozen",
-                   decay_draw, ("no-susceptibility/b=0,alpha>0",)),
-        RegimeCase("no-susceptibility/b>0",
-                   "turnover empties every infected class",
-                   birth_draw, ("no-susceptibility/b>0",)),
-    ]
+def _sample(index: int, trials: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``trials`` draws with admissible rates whose first rule is
+    ``_RULES[index]``, at least _GAP_MARGIN off its threshold where it names
+    one, as (trials, 6) rates and (trials, 4) starts."""
+    rule = _RULES[index]
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    n_kept = 0
+    for _ in range(_MAX_DRAWS // _BATCH):
+        rates, starts = _draw(rng, _BATCH)
+        a = _inputs(tuple(rates.T), tuple(starts.T))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keep = _admissible(rates) & (_first_rule(a) == index)
+        if rule._gap is not None:
+            keep &= np.abs(rule._gap(a)) >= _GAP_MARGIN
+        kept.append((rates[keep], starts[keep]))
+        n_kept += int(np.count_nonzero(keep))
+        if n_kept >= trials:
+            rates, starts = map(np.concatenate, zip(*kept))
+            return rates[:trials], starts[:trials]
+    raise RegimeUnsatisfiable(
+        f"{rule.regime}: {n_kept} of {trials} trials found in {_MAX_DRAWS} draws")
 
 
-def _cases_recovered_susceptibility() -> list[RegimeCase]:
-    def base(rng, b, al, k1, k2):
-        return (b, al, 0.0, rng.uniform(0.2, 1.0), k1, k2), ()
-
-    def no_turnover(rng):
-        return base(rng, 0.0, 0.0, rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2))
-
-    def birth_no_recovery(rng):
-        return base(rng, rng.uniform(0.05, 0.7), 0.0,
-                    rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
-
-    def decay_k2_zero(rng):
-        return base(rng, 0.0, rng.uniform(0.05, 0.95), rng.uniform(0.3, 1.2), 0.0)
-
-    def decay_k2_pos(rng):
-        return base(rng, 0.0, rng.uniform(0.05, 0.95),
-                    rng.uniform(0.0, 1.2), rng.uniform(0.3, 1.2))
-
-    def both_positive(rng):
-        b = rng.uniform(0.05, 0.6)
-        return base(rng, b, rng.uniform(0.05, max(0.06, 0.9 - b)),
-                    rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
-
-    return [
-        RegimeCase("recovered-susceptibility/alpha=b=0",
-                   "x and u frozen; y drains into v",
-                   no_turnover, ("no-turnover/beta1=0,beta2>0",)),
-        RegimeCase("recovered-susceptibility/b>0,alpha=0",
-                   "turnover wins; disease-free limit",
-                   birth_no_recovery, ("recovered-susceptibility/b>0,alpha=0",)),
-        RegimeCase("recovered-susceptibility/b=0,alpha>0,k2=0",
-                   "u dies out; y-limit depends on the start",
-                   decay_k2_zero, ("recovered-susceptibility/b=0,alpha>0,k2=0",)),
-        RegimeCase("recovered-susceptibility/b=0,alpha>0,k2>0",
-                   "y drains completely into v",
-                   decay_k2_pos, ("recovered-susceptibility/b=0,alpha>0,k2>0",)),
-        RegimeCase("recovered-susceptibility/b>0,alpha>0",
-                   "turnover wins; disease-free limit",
-                   both_positive, ("recovered-susceptibility/b>0,alpha>0",)),
-    ]
-
-
-def _cases_no_turnover() -> list[RegimeCase]:
-    def frozen(rng):
-        return (0.0, 0.0, rng.uniform(0, 1.5),
-                rng.uniform(0, 1.5), 0.0, 0.0), ()
-
-    def beta1_zero(rng):
-        return (0.0, 0.0, 0.0, rng.uniform(0.2, 1.2),
-                rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)), ()
-
-    def beta2_zero(rng):
-        return (0.0, 0.0, rng.uniform(0.2, 1.2), 0.0,
-                rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)), ()
-
-    def both(rng):
-        return (0.0, 0.0, rng.uniform(0.2, 1.2), rng.uniform(0.2, 1.2),
-                rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)), ()
-
-    def u_growth(trial_rows):
-        """The open reading question: does the u-limit stay at u0?"""
-        lifts = [rec["limit"][1] - rec["s0"][1] for rec in trial_rows]
-        return {
-            "u_lift_min": float(min(lifts)),
-            "u_lift_max": float(max(lifts)),
-            "u_stays_at_u0_count": int(sum(1 for d in lifts if abs(d) <= LIMIT_TOL)),
-        }
-
-    return [
-        RegimeCase("no-turnover/k1=k2=0",
-                   "no infectivity; identity dynamics",
-                   frozen, ("fixed-initial",)),
-        RegimeCase("no-turnover/beta1=0,beta2>0",
-                   "x, u frozen; y drains into v",
-                   beta1_zero, ("no-turnover/beta1=0,beta2>0",)),
-        RegimeCase("no-turnover/beta1>0,beta2=0",
-                   "y, v frozen; x drains into u",
-                   beta2_zero, ("no-turnover/beta1>0,beta2=0",)),
-        RegimeCase("no-turnover/beta1>0,beta2>0",
-                   "x and y drain; limit on the u-v edge",
-                   both, ("no-turnover/beta1>0,beta2>0",),
-                   extra_check=u_growth),
-    ]
-
-
-def _cases_no_recovery() -> list[RegimeCase]:
-    def weak_infection(rng):
-        b = rng.uniform(0.1, 0.9)
-        b1 = rng.uniform(0.2, 1.0)
-        k1 = rng.uniform(0.0, max(0.0, b - 0.02)) / b1
-        return (b, 0.0, b1, rng.uniform(0.0, 0.8), k1, 0.0), ()
-
-    def no_initial_infected(rng):
-        return (rng.uniform(0.05, 0.9), 0.0,
-                rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.8),
-                rng.uniform(0.0, 1.5), 0.0), (1,)
-
-    def persistent(rng):
-        b = rng.uniform(0.05, 0.45)
-        bk = b + rng.uniform(0.05, min(0.5, 1.0 - b))
-        b1 = rng.uniform(0.4, 1.0)
-        return (b, 0.0, b1, rng.uniform(0.0, 0.5), bk / b1, 0.0), ()
-
-    return [
-        RegimeCase("no-recovery/beta1k1<=b",
-                   "infection too weak; disease-free limit",
-                   weak_infection, ("no-recovery/disease-free",)),
-        RegimeCase("no-recovery/u0=0",
-                   "nobody to infect from; disease-free limit",
-                   no_initial_infected, ("no-recovery/disease-free",)),
-        RegimeCase("no-recovery/beta1k1>b",
-                   "persistent infection on the (x, u) edge",
-                   persistent, ("no-recovery/persistent",)),
-    ]
-
-
-def _cases_no_reinfection() -> list[RegimeCase]:
-    def quiet_variant(rng, b, al):
-        # realize A0 = 0 through one of the four zero patterns
-        which = rng.integers(4)
-        if which == 0:
-            k1, k2, zeros = 0.0, 0.0, ()
-        elif which == 1:
-            k1, k2, zeros = 0.0, rng.uniform(0.3, 1.2), (3,)
-        elif which == 2:
-            k1, k2, zeros = rng.uniform(0.3, 1.2), 0.0, (1,)
-        else:
-            k1, k2, zeros = rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2), (1, 3)
-        return (b, al, rng.uniform(0.2, 1.2), 0.0, k1, k2), zeros
-
-    def frozen_b0(rng):
-        return quiet_variant(rng, 0.0, rng.uniform(0.05, 0.95))
-
-    def second_wave(rng):
-        return (0.0, rng.uniform(0.05, 0.95),
-                rng.uniform(0.2, 1.2), 0.0,
-                rng.uniform(0.0, 1.2), rng.uniform(0.3, 1.2)), ()
-
-    def first_wave_only(rng):
-        if rng.integers(2):
-            k2, zeros = 0.0, ()
-        else:
-            k2, zeros = rng.uniform(0.3, 1.2), (3,)
-        return (0.0, rng.uniform(0.05, 0.95),
-                rng.uniform(0.2, 1.2), 0.0,
-                rng.uniform(0.3, 1.2), k2), zeros
-
-    def frozen_turnover(rng):
-        b = rng.uniform(0.05, 0.5)
-        return quiet_variant(rng, b, rng.uniform(0.05, max(0.06, 0.9 - b)))
-
-    def subcritical(rng):
-        b = rng.uniform(0.05, 0.45)
-        al = rng.uniform(0.05, max(0.06, 0.9 - b))
-        b1 = rng.uniform(0.3, 1.0)
-        k1 = rng.uniform(0.0, max(0.0, b + al - 0.02)) / b1
-        if rng.integers(2):
-            k2, zeros = 0.0, ()
-        else:
-            k2, zeros = rng.uniform(0.3, 1.2), (3,)
-        return (b, al, b1, 0.0, k1, k2), zeros
-
-    return [
-        RegimeCase("no-reinfection/b=0,A0=0",
-                   "no infection pressure; u drains into y",
-                   frozen_b0, ("no-reinfection/b=0,A0=0", "fixed-initial")),
-        RegimeCase("no-reinfection/b=0,k2v0>0",
-                   "x drains completely; v frozen",
-                   second_wave, ("no-reinfection/b=0,k2v0>0",)),
-        RegimeCase("no-reinfection/b=0,k2v0=0,k1u0>0",
-                   "u dies out; x-limit depends on the start",
-                   first_wave_only, ("no-reinfection/b=0,k2v0=0,k1u0>0",)),
-        RegimeCase("no-reinfection/b*alpha>0,A0=0",
-                   "no infection pressure; turnover wins",
-                   frozen_turnover, ("no-reinfection/b*alpha>0,A0=0",)),
-        RegimeCase("no-reinfection/b*alpha>0,k2v0=0,beta1k1<=b+alpha",
-                   "subcritical first wave; disease-free limit",
-                   subcritical,
-                   ("no-reinfection/b*alpha>0,k2v0=0,beta1k1<=b+alpha",)),
-    ]
-
-
-def _registry() -> dict[str, RegimeCase]:
-    cases = (_cases_no_susceptibility() + _cases_recovered_susceptibility()
-             + _cases_no_turnover() + _cases_no_recovery()
-             + _cases_no_reinfection())
-    return {c.name: c for c in cases}
-
-
-_REGIMES = _registry()
+# the regimes verify_proposition takes: the proven rules, by index in _RULES
+_SUITES = {rule.regime: i for i, rule in enumerate(_RULES) if not rule.conjectural}
 
 
 def list_regimes() -> tuple[str, ...]:
-    """Names accepted by :func:`verify_proposition`."""
-    return tuple(_REGIMES)
+    """Names accepted by :func:`verify_proposition`: the regimes of the
+    proven (non-conjectural) limit rules, in the order they are tried."""
+    return tuple(_SUITES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -705,29 +550,38 @@ def verify_proposition(
     max_iter: int = 200_000,
     tol_step: float = 1e-10,
 ) -> SuiteReport:
-    """Randomized agreement suite for one limit-rule regime.
+    """Randomized agreement suite for one proven limit rule.
 
-    Samples regime-conforming (rates, initial point) pairs by rejection
-    against the admissibility inequalities (strict inequalities are sampled
-    with small margins so convergence stays geometric), runs
-    :func:`detect_limit`, and compares every exactly-pinned coordinate of
-    the predicted target at tolerance ``tol``.  The seed is recorded in the
+    ``regime`` names a rule of :func:`list_regimes`.  Candidate (rates,
+    start) pairs are drawn in seeded batches: each rate is 0 with
+    probability 0.4, else uniform on [0.05, hi]; each start coordinate is 0
+    with probability 0.25, and every other one >= 0.1.  A draw is kept when
+    its rates are admissible, the rule is the first of ``_RULES`` that
+    holds, and, for a rule whose convergence rate depends on a threshold,
+    it is at least 0.02 off that threshold, so convergence stays geometric.
+    Each kept trial checks that :func:`predicted_limit` names the rule,
+    runs :func:`detect_limit`, and compares every pinned coordinate of the
+    target at tolerance ``tol``.  ``trials`` must be >= 1, ``max_iter`` >= 1
+    and both tolerances finite and >= 0.  The seed is recorded in the
     report for reproducibility.
     """
-    try:
-        case = _REGIMES[regime]
-    except KeyError:
+    index = _SUITES.get(regime)
+    if index is None:
         raise RegimeUnsatisfiable(
-            f"unknown regime {regime!r}; see list_regimes()") from None
-    rng = np.random.default_rng(seed)
+            f"unknown or conjectural regime {regime!r}; see list_regimes()")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _require_budget(max_iter, tol=tol, tol_step=tol_step)
+    rule = _RULES[index]
+    rates, starts = _sample(index, trials, np.random.default_rng(seed))
     passes = 0
     failures: list[TrialFailure] = []
     worst = 0.0
     rows: list[dict] = []
-    for i in range(trials):
-        p, s0 = _rejection_sample(rng, case.sample)
+    for i, (r, s) in enumerate(zip(rates.tolist(), starts.tolist())):
+        p, s0 = ModelParams(*r), SimplexPoint(*s)
         pred = predicted_limit(s0, p)
-        if pred is None or pred.regime not in case.expected_regimes:
+        if pred is None or pred.regime != regime:
             failures.append(TrialFailure(
                 i, f"dispatcher returned {None if pred is None else pred.regime!r}",
                 p.as_tuple(), s0.as_tuple(), None))
@@ -742,16 +596,15 @@ def verify_proposition(
         worst = max(worst, report.deviation)
         if report.match:
             passes += 1
-            rows.append({"limit": report.limit, "s0": s0.as_array(),
-                         "iterations": report.iterations})
+            rows.append({"limit": report.limit, "s0": s0.as_array()})
         else:
             failures.append(TrialFailure(
                 i, "limit disagrees with prediction",
                 p.as_tuple(), s0.as_tuple(), report.deviation))
-    extra = case.extra_check(rows) if (case.extra_check and rows) else {}
+    extra = rule._reading(rows) if (rule._reading and rows) else {}
     return SuiteReport(
         regime=regime,
-        description=case.description,
+        description=rule.source,
         trials=trials,
         seed=seed,
         passes=passes,
@@ -988,17 +841,14 @@ def conjecture_scan(
     cells = grid.cells()
     n_cells = cells.shape[0]
     rng = np.random.default_rng(seed)
-    inits = np.stack([_floored_point(rng).as_array() for _ in range(n_init)])
+    # random simplex points with every coordinate >= 0.1
+    inits = 0.1 + rng.dirichlet(np.ones(4), size=n_init) * (1.0 - 0.1 * 4)
 
-    # validate_params on every cell: rates finite and >= 0, no inequality
-    # violated.  An infinite rate gives inf*0 = NaN terms, and the rules'
-    # targets divide by zero on rows they do not take; those are never read.
-    rates = cells.T
+    admissible = _admissible(cells)
+    # the rules' targets divide by zero on rows they do not take, and an
+    # infinite rate gives inf*0 = NaN terms; those are never read
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        admissible = np.all(_rate_ok(cells), axis=1)
-        for _, value, bound in _CONDITIONS:
-            admissible &= ~(value(*rates) > bound)
-        first, targets = _apply_rules(tuple(rates[:, :, None]), tuple(inits.T[:, None, :]))
+        first, targets = _apply_rules(tuple(cells.T[:, :, None]), tuple(inits.T[:, None, :]))
 
     # an admissible row is claimed when its first rule is one of the
     # conjecture's; its label is that rule's catalog point (-1: None)

@@ -30,6 +30,7 @@ from sisi.fixpoints import (
 from sisi.stability import classify_at, classify_lambda1, jacobian
 from sisi.conjugacy import conjugacy_map, verify_conjugacy
 from sisi.dynamics import (
+    _RULES,
     conjecture_scan,
     detect_limit,
     list_regimes,
@@ -154,9 +155,11 @@ def test_criterion_6_conjugacy():
         assert 1.0 < cm.mu < 3.0
 
 
-@criterion(7, "limit-rule suites: 100 regime-conforming trials per case")
+@criterion(7, "limit-rule suites: 100 regime-conforming trials per proven rule")
 def test_criterion_7_proposition_suites():
-    for regime in list_regimes():
+    regimes = [rule.regime for rule in _RULES if not rule.conjectural]
+    assert list(list_regimes()) == regimes
+    for regime in regimes:
         report = verify_proposition(regime, trials=100, seed=17, tol=1e-6)
         assert report.passed, str(report)
         assert report.passes == 100

@@ -20,6 +20,7 @@ from sisi.fixpoints import DegenerateRegime, fixed_point_set, interior_quadratic
 from sisi.dynamics import (
     GridSpec,
     LimitReport,
+    RegimeUnsatisfiable,
     ScanReport,
     _batch_limits,
     conjecture_scan,
@@ -340,6 +341,14 @@ class TestDetectLimit:
         with pytest.raises(ValueError, match="tolerances must be >= 0"):
             detect_limit(SimplexPoint(1, 0, 0, 0), FIG1, tol_fix=-1.0, catalog=catalog)
 
+    @pytest.mark.parametrize("match_tol", [math.nan, -1.0, math.inf])
+    def test_bad_match_tol_raises(self, match_tol):
+        # unchecked, a NaN or negative match_tol reported a start on its
+        # target as converged=True, deviation=0.0, match=False
+        s0 = SimplexPoint(1, 0, 0, 0)
+        with pytest.raises(ValueError, match="tolerances must be >= 0"):
+            detect_limit(s0, FIG1, predicted=predicted_limit(s0, FIG1), match_tol=match_tol)
+
     def test_identity_regime_stops_at_zero_iterations(self):
         p = ModelParams(0.0, 0.0, 0.7, 0.4, 0.0, 0.0)  # no infectivity
         report = detect_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), p)
@@ -422,10 +431,14 @@ class TestPredictedLimit:
                 assert targets[i, j].tobytes() == pred.target.tobytes(), (p, start)
 
     def test_registry_regimes_are_rules(self):
-        rules = {rule.regime for rule in dynamics._RULES}
-        assert len(rules) == len(dynamics._RULES)
-        for name in list_regimes():
-            assert set(dynamics._REGIMES[name].expected_regimes) <= rules, name
+        regimes = [rule.regime for rule in dynamics._RULES]
+        assert len(set(regimes)) == len(regimes)
+        proven = tuple(rule.regime for rule in dynamics._RULES if not rule.conjectural)
+        assert list_regimes() == proven and len(proven) == 18
+        conjectural = [rule.regime for rule in dynamics._RULES if rule.conjectural]
+        for name in conjectural + ["no-such-regime"]:
+            with pytest.raises(RegimeUnsatisfiable):
+                verify_proposition(name, trials=1)
 
     def test_match_wiring(self):
         pred = predicted_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), FIG2)
@@ -444,13 +457,49 @@ class TestVerifyProposition:
         assert report.passes == 30
 
     def test_unknown_regime_rejected(self):
-        from sisi.dynamics import RegimeUnsatisfiable
-
         with pytest.raises(RegimeUnsatisfiable):
             verify_proposition("no-such-regime", trials=1)
 
+    @pytest.mark.parametrize("options", [
+        {"trials": 0}, {"trials": -3}, {"tol": math.nan}, {"tol": -1.0},
+        {"tol_step": math.inf}, {"max_iter": 0},
+    ], ids=lambda options: "{}={}".format(*next(iter(options.items()))))
+    def test_bad_trials_budget_or_tolerance_raises_before_sampling(self, options,
+                                                                   monkeypatch):
+        # unchecked, trials=-3 reported "0/-3 agree ... PASS" and tol=nan
+        # reported every trial as a disagreement
+        monkeypatch.setattr(dynamics, "_sample", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match="trials must be >= 1|max_iter must be >= 1"
+                                             "|tolerances must be >= 0"):
+            verify_proposition("fixed-initial", **options)
+
+    def test_draws_cap_raises(self, monkeypatch):
+        # the rarest rule keeps about 1 draw in 1,000: one batch is too few
+        monkeypatch.setattr(dynamics, "_MAX_DRAWS", dynamics._BATCH)
+        with pytest.raises(RegimeUnsatisfiable, match="draws"):
+            verify_proposition("interior-conjecture/u0=v0=0", trials=100)
+
+    def test_draws_clear_their_rule_and_its_gap(self):
+        # kept draws: admissible, first rule the wanted one, floored starts
+        # on the simplex, and off the rule's threshold by the margin
+        gapped = 0
+        for regime, index in dynamics._SUITES.items():
+            rule = dynamics._RULES[index]
+            rates, starts = dynamics._sample(index, 20, np.random.default_rng(5))
+            assert rates.shape == (20, 6) and starts.shape == (20, 4)
+            assert all(ModelParams(*r).admissible for r in rates.tolist()), regime
+            assert np.all((starts == 0.0) | (starts >= 0.1)), regime
+            assert np.all(np.abs(starts.sum(axis=1) - 1.0) <= 1e-12), regime
+            a = dynamics._inputs(tuple(rates.T), tuple(starts.T))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert np.all(dynamics._first_rule(a) == index), regime
+            if rule._gap is not None:
+                gapped += 1
+                assert np.all(np.abs(rule._gap(a)) >= 0.02), regime
+        assert gapped == 3
+
     def test_identity_regime_zero_iterations(self):
-        report = verify_proposition("no-turnover/k1=k2=0", trials=10, seed=3)
+        report = verify_proposition("fixed-initial", trials=10, seed=3)
         assert report.passed
 
     def test_edge_limit_u_reading(self):

@@ -448,9 +448,33 @@ class TestPredictedLimit:
         assert report.deviation <= 1e-6
 
 
+# Cases narrower than one rule: (rule, premise on the (n, 6) rates and
+# (n, 4) starts of its draws).  Each runs the rule's suite on draws that
+# also meet the premise.
+_NARROWED = {
+    "no-recovery/beta1k1<=b": ("no-recovery/disease-free", lambda r, s: s[:, 1] > 0.0),
+    "no-recovery/u0=0": ("no-recovery/disease-free", lambda r, s: s[:, 1] == 0.0),
+    "no-susceptibility/alpha=b=0": ("fixed-initial", lambda r, s: np.all(r[:, :4] == 0.0, axis=1)),
+    "no-turnover/k1=k2=0": ("fixed-initial",
+                            lambda r, s: np.all(r[:, [0, 1, 4, 5]] == 0.0, axis=1)),
+    "recovered-susceptibility/alpha=b=0": (
+        "no-turnover/beta1=0,beta2>0",
+        lambda r, s: np.all(r[:, :3] == 0.0, axis=1) & np.all(r[:, 4:] > 0.0, axis=1)),
+}
+
+
 class TestVerifyProposition:
-    @pytest.mark.parametrize("regime", list_regimes())
-    def test_regime_agreement(self, regime):
+    @pytest.mark.parametrize("regime", list_regimes() + tuple(_NARROWED))
+    def test_regime_agreement(self, regime, monkeypatch):
+        if regime in _NARROWED:
+            regime, premise = _NARROWED[regime]
+            draw = dynamics._draw
+
+            def narrowed(rng, n):
+                rates, starts = draw(rng, n)
+                keep = premise(rates, starts)
+                return rates[keep], starts[keep]
+            monkeypatch.setattr(dynamics, "_draw", narrowed)
         report = verify_proposition(regime, trials=30, seed=7)
         assert report.passed, f"{report}\nfirst failure: " + (
             str(report.failures[0]) if report.failures else "")

@@ -27,6 +27,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product, repeat
 from types import SimpleNamespace
 
@@ -90,6 +91,8 @@ SRC_NO_REINFECTION = ("limit rule for beta2 = 0, beta1 > 0 "
                       "(recovered never reinfected), proven cases")
 SRC_BOUNDARY_CONJ = "boundary-limit conjecture (beta2 = 0, b*alpha > 0)"
 SRC_INTERIOR_CONJ = "interior-limit conjecture (all six rates positive)"
+SRC_NO_INFECTION = ("limit rule for u0 = v0 = 0, all six rates positive "
+                    "(no infected individuals at the start)")
 SRC_FIXED_START = "initial point is fixed"
 
 
@@ -113,9 +116,16 @@ class PredictedLimit:
     note: str = ""
 
     def pinned_deviation(self, limit: np.ndarray) -> float:
-        """Largest deviation over the pinned (non-NaN) coordinates."""
-        mask = ~np.isnan(self.target)
-        return float(np.max(np.abs(limit[mask] - self.target[mask])))
+        """Largest |limit_i - target_i| over the pinned (non-NaN) coordinates
+        of the target, NaN if any of those is NaN, and 0.0 when none is
+        pinned.  ``limit`` has the target's length."""
+        dev = 0.0
+        for c, t in zip(limit.tolist(), self.target.tolist(), strict=True):
+            if t == t:  # pinned
+                d = abs(c - t)
+                if d > dev or d != d:  # a NaN stays, as in np.max
+                    dev = d
+        return dev
 
     def check(self, limit: np.ndarray, tol: float) -> tuple[bool, float]:
         dev = self.pinned_deviation(limit)
@@ -141,9 +151,10 @@ def _require_budget(max_iter: int, **tolerances: float) -> None:
     and >= 0 (NaN is not)."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if not all(0.0 <= tol < math.inf for tol in tolerances.values()):
-        raise ValueError("tolerances must be >= 0 and finite: "
-                         + ", ".join(f"{k}={v!r}" for k, v in tolerances.items()))
+    for tol in tolerances.values():
+        if not 0.0 <= tol < math.inf:
+            raise ValueError("tolerances must be >= 0 and finite: "
+                             + ", ".join(f"{k}={v!r}" for k, v in tolerances.items()))
 
 
 def _nearest(x, u, y, v, anchors):
@@ -200,6 +211,7 @@ def detect_limit(
         visited.append((x, u, y, v))
     applications = 0
     converged = False
+    near = (math.inf, None, None)  # the last proximity check's _nearest
     slack = 0.0  # no bound yet: check after the first step
     while True:
         nx, nu, ny, nv = _step(x, u, y, v, b, al, b1, b2, k1, k2)
@@ -235,21 +247,23 @@ def detect_limit(
         # step, so the check cannot fire while slack > 0.
         slack -= step + _SKIP_MARGIN
         if not slack > 0.0:
-            near = _nearest(x, u, y, v, anchors)[0]
-            if near <= tol_fix:
+            near = _nearest(x, u, y, v, anchors)
+            if near[0] <= tol_fix:
                 converged = True
                 break
-            slack = near - tol_fix - _SKIP_MARGIN
+            slack = near[0] - tol_fix - _SKIP_MARGIN
         if applications >= max_iter:
             break
 
-    limit = np.array((x, u, y, v)) if converged else None
-    snapped = None
+    limit = snapped = None
     if converged:
-        dist, label, a = _nearest(x, u, y, v, anchors)
+        # a proximity stop has measured this state's nearest anchor already
+        dist, label, a = near if near[0] <= tol_fix else _nearest(x, u, y, v, anchors)
         if dist <= tol_fix:
             snapped = label
             limit = np.array(a)
+        else:
+            limit = np.array((x, u, y, v))
 
     match = None
     deviation = None
@@ -269,10 +283,11 @@ def detect_limit(
 
 @dataclass(frozen=True)
 class _Rule:
-    """Where the premise of ``source`` (see ``_PREMISES``) and ``when`` hold,
-    and no earlier rule does, the limit is ``target``: a label of ``_POINTS``
-    or the four coordinates, NaN where the limit depends on the start.  All
-    three take :func:`_inputs` and work elementwise.
+    """Where ``premise`` (a rate regime, a key of ``_PREMISES``) and ``when``
+    hold, and no earlier rule does, the limit is ``target``: a label of
+    ``_POINTS`` or the four coordinates, NaN where the limit depends on the
+    start.  All three take :func:`_inputs` and work elementwise.  ``source``
+    is what a prediction cites, the premise's name unless given.
 
     For :func:`verify_proposition`: ``_gap``, also on :func:`_inputs`, is
     the signed distance to the threshold the convergence rate depends on
@@ -280,35 +295,58 @@ class _Rule:
     trials' start and limit rows."""
 
     regime: str
-    source: str
+    premise: str
     when: Callable
     target: str | Callable
     conjectural: bool = False
     note: str = ""
+    source: str = ""
     _gap: Callable | None = None
     _reading: Callable | None = None
+
+    def __post_init__(self):
+        if not self.source:
+            object.__setattr__(self, "source", self.premise)
 
 
 def _fixed(point, rates, tol):
     """Whether one step moves no coordinate of ``point`` (four floats or
     broadcastable columns) by more than ``tol``, elementwise; NaN is not."""
-    moved = [abs(image - c) <= tol for image, c in zip(_step(*point, *rates), point)]
-    return moved[0] & moved[1] & moved[2] & moved[3]
+    x, u, y, v = point
+    nx, nu, ny, nv = _step(x, u, y, v, *rates)
+    return ((abs(nx - x) <= tol) & (abs(nu - u) <= tol)
+            & (abs(ny - y) <= tol) & (abs(nv - v) <= tol))
 
 
-def _inputs(rates, start) -> SimpleNamespace:
+class _Inputs(SimpleNamespace):
     """The rates, the start and what the rules derive from them, elementwise."""
+
+    @cached_property
+    def root(self):
+        """The interior quadratic's largest root, elementwise (NaN where
+        none), computed on first use only.
+
+        On one rate set of Python floats whose quadratic has two distinct
+        roots, numpy's scalar wrappers are skipped: math.sqrt and np.sqrt are
+        both correctly rounded, and the larger root is taken as np.fmax
+        does, so the bits are the same.
+        """
+        c2, c1, c0, disc = _quadratic(self.b, self.al, self.b1, self.b2, self.k1, self.k2)
+        if type(disc) is float and disc > 0.0 and c2 != 0.0:
+            r, s = _roots(c2, c1, c0, math.sqrt(disc))
+            return r if r >= s or s != s else s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.fmax(*_roots(c2, c1, c0, np.sqrt(disc)))
+
+
+def _inputs(rates, start) -> _Inputs:
+    """The :class:`_Inputs` of rate and start columns, or of one rate set
+    and start as floats."""
     b, al, b1, b2, k1, k2 = rates
     x, u, y, v = start
-    return SimpleNamespace(b=b, al=al, b1=b1, b2=b2, k1=k1, k2=k2, x=x, u=u, y=y, v=v,
-                           A0=k1 * u + k2 * v, bk=b1 * k1, joint=b + al,
-                           fixed=_fixed(start, rates, 1e-13))
-
-
-def _root(a):
-    """The interior quadratic's largest root, elementwise (NaN where none)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.fmax(*_roots(*_quadratic(a.b, a.al, a.b1, a.b2, a.k1, a.k2)))
+    return _Inputs(b=b, al=al, b1=b1, b2=b2, k1=k1, k2=k2, x=x, u=u, y=y, v=v,
+                   A0=k1 * u + k2 * v, bk=b1 * k1, joint=b + al,
+                   fixed=_fixed(start, rates, 1e-13))
 
 
 def _u_growth(rows) -> dict:
@@ -329,10 +367,11 @@ _POINTS = {  # catalog points fixed by the rates alone
     "lambda_1": lambda a: (1.0, 0.0, 0.0, 0.0),
     "lambda_9": lambda a: (*_lambda9_coordinates(a.b, a.bk), 0.0, 0.0),
     "lambda_10": lambda a: (*_lambda10_coordinates(a.b, a.al, a.bk), 0.0),
-    "lambda_11": lambda a: _interior_coordinates(a.b, a.al, a.b1, a.b2, _root(a)),
+    "lambda_11": lambda a: _interior_coordinates(a.b, a.al, a.b1, a.b2, a.root),
 }
 
-# The rate regime each source names; a rule holds only inside its source's
+# The rate regimes the rules hold in, named by the source their rules cite
+# (unless a rule names its own); a rule holds only inside its premise
 _PREMISES = {
     SRC_FIXED_START: lambda a: a.fixed,
     SRC_INTERIOR_CONJ: lambda a: a.al * a.b * a.b1 * a.b2 * a.k1 * a.k2 > 0.0,
@@ -351,12 +390,12 @@ _RULES = (
     _Rule("fixed-initial", SRC_FIXED_START, lambda a: True, lambda a: (a.x, a.u, a.y, a.v)),
     # all six rates positive, the generic case: no later rule can hold
     _Rule("interior-conjecture/u0=v0=0", SRC_INTERIOR_CONJ,
-          lambda a: (a.u == 0.0) & (a.v == 0.0), "lambda_1"),
+          lambda a: (a.u == 0.0) & (a.v == 0.0), "lambda_1", source=SRC_NO_INFECTION),
     _Rule("interior-conjecture/beta1k1<=b+alpha", SRC_INTERIOR_CONJ,
           lambda a: (a.bk <= a.joint) & (a.b * a.joint >= a.al * a.b2 * a.k2),
           "lambda_1", conjectural=True),
     _Rule("interior-conjecture/beta1k1>b+alpha", SRC_INTERIOR_CONJ,
-          lambda a: (a.bk > a.joint) & (_root(a) > 0.0), "lambda_11", conjectural=True),
+          lambda a: (a.bk > a.joint) & (a.root > 0.0), "lambda_11", conjectural=True),
     # with b = alpha = 0 as well, every start is fixed
     _Rule("no-susceptibility/b=0,alpha>0", SRC_NO_SUSCEPTIBILITY,
           lambda a: (a.b == 0.0) & (a.al > 0.0), lambda a: (a.x, 0.0, 1.0 - a.x - a.v, a.v)),
@@ -405,7 +444,7 @@ _RULES = (
 def _first_rule(a) -> np.ndarray:
     """Each row's first rule that holds on :func:`_inputs` ``a``, as an
     index into ``_RULES`` (-1 for none)."""
-    held = [_PREMISES[rule.source](a) & rule.when(a) for rule in _RULES]
+    held = [_PREMISES[rule.premise](a) & rule.when(a) for rule in _RULES]
     return np.select(held, list(range(len(_RULES))), -1)
 
 
@@ -430,13 +469,17 @@ def predicted_limit(s0: SimplexPoint, p: ModelParams) -> PredictedLimit | None:
     ``conjectural=True``; a catalog point not fixed raises ArithmeticError.
     """
     require_admissible(p)
-    a = _inputs(p.as_tuple(), s0.as_tuple())
-    rule = next((rule for rule in _RULES if _PREMISES[rule.source](a) and rule.when(a)), None)
-    if rule is None:
+    rates = p.as_tuple()
+    a = _inputs(rates, s0.as_tuple())
+    for rule in _RULES:
+        if _PREMISES[rule.premise](a) and rule.when(a):
+            break
+    else:
         return None
-    target = np.array(_POINTS.get(rule.target, rule.target)(a))
+    coords = _POINTS.get(rule.target, rule.target)(a)
+    target = np.array(coords)
     # a catalog point that is not fixed comes from a wrong closed form
-    if rule.target in _POINTS and not _fixed(target.tolist(), p.as_tuple(), RESIDUAL_TOL):
+    if rule.target in _POINTS and not _fixed(coords, rates, RESIDUAL_TOL):
         raise ArithmeticError(f"{rule.regime}: target {target} is not fixed")
     return PredictedLimit(rule.regime, rule.source, target, rule.conjectural, rule.note)
 
@@ -852,8 +895,8 @@ def conjecture_scan(
 
     # an admissible row is claimed when its first rule is one of the
     # conjecture's; its label is that rule's catalog point (-1: None)
-    source = SRC_BOUNDARY_CONJ if conjecture == 1 else SRC_INTERIOR_CONJ
-    labels = [rule.target if rule.source == source else None for rule in _RULES]
+    premise = SRC_BOUNDARY_CONJ if conjecture == 1 else SRC_INTERIOR_CONJ
+    labels = [rule.target if rule.premise == premise else None for rule in _RULES]
     target_label = np.array(labels + [None], dtype=object)[
         np.where(admissible[:, None], first, -1)]
     claim = target_label.astype(bool)

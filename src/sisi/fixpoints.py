@@ -18,6 +18,8 @@ a quadratic in the equilibrium force of infection A; see
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -26,6 +28,7 @@ import numpy as np
 from sisi.model import (
     ModelParams,
     RESIDUAL_TOL,
+    _per_params,
     _step,
     require_admissible,
 )
@@ -55,8 +58,13 @@ class NoInteriorPoint(ValueError):
 
 def residual(point: np.ndarray, p: ModelParams) -> float:
     """One-step fixed-point residual ||V(q) - q||_inf."""
-    x, u, y, v = np.asarray(point, dtype=float).tolist()
-    x1, u1, y1, v1 = _step(x, u, y, v, *p.as_tuple())
+    return _residual(np.asarray(point, dtype=float).tolist(), p.as_tuple())
+
+
+def _residual(q, rates) -> float:
+    """:func:`residual` of the four floats ``q`` under the six ``rates``."""
+    x, u, y, v = q
+    x1, u1, y1, v1 = _step(x, u, y, v, *rates)
     return max(abs(x1 - x), abs(u1 - u), abs(y1 - y), abs(v1 - v))
 
 
@@ -96,14 +104,15 @@ def _quadratic(b, al, b1, b2, k1, k2):
     return c2, c1, c0, c1 * c1 - 4.0 * c2 * c0
 
 
-def _roots(c2, c1, c0, disc):
-    """The two roots (q/c2, c0/q) where c2 != 0 and disc > 0, elementwise.
+def _roots(c2, c1, c0, sqrt_disc):
+    """The two roots (q/c2, c0/q) where c2 != 0 and disc > 0, elementwise,
+    given sqrt(disc).
 
     Citardauq form, q = -(c1 + sign(c1)*sqrt(disc))/2 with sign(0) = +1,
     which avoids cancellation when c1^2 >> |4*c2*c0|.  Array entries with
-    disc < 0 come out NaN.
+    disc < 0 (a NaN square root) come out NaN.
     """
-    q = -0.5 * (c1 + (2.0 * (c1 >= 0.0) - 1.0) * np.sqrt(disc))
+    q = -0.5 * (c1 + (2.0 * (c1 >= 0.0) - 1.0) * sqrt_disc)
     return q / c2, c0 / q
 
 
@@ -165,18 +174,30 @@ def bracketed_root(f, lo: float, hi: float) -> float:
     return x
 
 
-def _balance_gap(p: ModelParams, A: float) -> float:
-    """Residual of the uncleared equilibrium balance at force of infection A.
+def _balance_gap(p: ModelParams):
+    """The residual of the uncleared equilibrium balance, as a function of
+    the force of infection A:
+
+        b*beta1*k1 / ((b + beta1*A)*(b + alpha))
+        + alpha*beta1*beta2*k2*A / ((b + beta1*A)*(b + beta2*A)*(b + alpha)) - 1
 
     Zero exactly when A solves the interior fixed-point condition; used as
-    an independent cross-check of the cleared quadratic.
+    an independent cross-check of the cleared quadratic.  The factors that
+    do not depend on A are formed once, in the order the formula reads.
     """
     b, al, b1, b2, k1, k2 = p.as_tuple()
-    first = b * b1 * k1 / ((b + b1 * A) * (b + al))
-    second = al * b1 * b2 * k2 * A / ((b + b1 * A) * (b + b2 * A) * (b + al))
-    return first + second - 1.0
+    joint = b + al
+    first_wave = b * b1 * k1
+    reinfection = al * b1 * b2 * k2
+
+    def gap(A):
+        infect1 = b + b1 * A
+        return (first_wave / (infect1 * joint)
+                + reinfection * A / (infect1 * (b + b2 * A) * joint) - 1.0)
+    return gap
 
 
+@_per_params
 def interior_quadratic(p: ModelParams) -> InteriorQuadratic:
     """Coefficients and real roots of the interior equilibrium quadratic.
 
@@ -189,9 +210,11 @@ def interior_quadratic(p: ModelParams) -> InteriorQuadratic:
     at r is c2*(r - r0)/D with D = (b + beta1*r)*(b + beta2*r)*(b + alpha),
     and 8*eps*D/(c2*(r - r0)) <= 1e-12*max(1, r) is required (measured
     shifts stay under half of that).  So a double root, which has no sign
-    change, and roots a fold apart are not checked.
+    change, and roots a fold apart are not checked.  The result is computed
+    once per ``p``.
     """
-    c2, c1, c0, disc = _quadratic(*p.as_tuple())
+    rates = p.as_tuple()
+    c2, c1, c0, disc = _quadratic(*rates)
     if c2 == 0.0:
         raise DegenerateRegime(
             "leading coefficient (b+alpha)*beta1*beta2 is zero; "
@@ -202,17 +225,18 @@ def interior_quadratic(p: ModelParams) -> InteriorQuadratic:
     elif disc == 0.0:
         roots = (-c1 / (2.0 * c2),)
     else:
-        roots = tuple(sorted(float(r) for r in _roots(c2, c1, c0, disc)))
+        roots = tuple(sorted(float(r) for r in _roots(c2, c1, c0, math.sqrt(disc))))
     positive = max((r for r in roots if r > 0.0), default=None)
-    if positive is not None and roots[0] < positive and min(p.as_tuple()) > 0.0:
-        b, al, b1, b2, _, _ = p.as_tuple()
+    if positive is not None and roots[0] < positive and min(rates) > 0.0:
+        b, al, b1, b2, _, _ = rates
         tol = 1e-12 * max(1.0, positive)
         D = (b + b1 * positive) * (b + b2 * positive) * (b + al)
-        drift = 8.0 * np.finfo(float).eps * D / (c2 * (positive - roots[0]))
+        drift = 8.0 * sys.float_info.epsilon * D / (c2 * (positive - roots[0]))
         lo = max(0.5 * positive, 0.5 * (roots[0] + positive))
         hi = positive * 1.5 + 1e-12
-        if drift <= tol and _balance_gap(p, lo) * _balance_gap(p, hi) < 0.0:
-            refined = bracketed_root(lambda A: _balance_gap(p, A), lo, hi)
+        gap = _balance_gap(p)
+        if drift <= tol and gap(lo) * gap(hi) < 0.0:
+            refined = bracketed_root(gap, lo, hi)
             if abs(refined - positive) > tol:
                 raise ArithmeticError(
                     f"quadratic root {positive!r} disagrees with direct "
@@ -279,43 +303,43 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
         raise NoInteriorPoint(
             "the equilibrium quadratic has no positive root for these rates"
         )
-    b, al, b1, b2, _, _ = p.as_tuple()
-    x, u, y, v = _interior_coordinates(b, al, b1, b2, quad.positive_root)
-    point = np.array([x, u, y, v])
-    res = residual(point, p)
+    b, al, b1, b2, _, _ = rates = p.as_tuple()
+    x, u, y, v = q = _interior_coordinates(b, al, b1, b2, quad.positive_root)
+    res = _residual(q, rates)
     if res > RESIDUAL_TOL:
         raise ArithmeticError(
             f"interior fixed-point residual {res:.3e} exceeds {RESIDUAL_TOL:g}"
         )
-    alt = np.array([b / (b + al), u, y, v])
     note = ""
-    if residual(alt, p) > RESIDUAL_TOL:
+    if _residual((b / (b + al), u, y, v), rates) > RESIDUAL_TOL:
         note = ("x = b/(b+beta1*A) verified; the alternative x = b/(b+alpha) "
                 "fails the residual check")
-    return FixedPoint(label="lambda_11", point=point, residual=res, note=note)
+    return FixedPoint(label="lambda_11", point=np.array(q), residual=res, note=note)
 
 
 def _lambda1(label, p):
     """Row maker: (1, 0, 0, 0) with its residual and closed-form stability."""
-    point = np.array([1.0, 0.0, 0.0, 0.0])
-    return FixedPoint(label, point=point, residual=residual(point, p),
+    q = (1.0, 0.0, 0.0, 0.0)
+    return FixedPoint(label, point=np.array(q), residual=_residual(q, p.as_tuple()),
                       stability=stability.classify_lambda1(p).classification)
 
 
 def _isolated(coords):
     """Row maker: the point coords(b, al, b1, b2, k1, k2) with its residual."""
     def make(label, p):
-        point = np.array(coords(*p.as_tuple()))
-        return FixedPoint(label, point=point, residual=residual(point, p))
+        rates = p.as_tuple()
+        q = coords(*rates)
+        return FixedPoint(label, point=np.array(q), residual=_residual(q, rates))
     return make
 
 
 def _family(description, members):
     """Row maker: a family sampled at ``members``, with its largest residual."""
     def make(label, p):
-        reps = tuple(np.array(m) for m in members)
-        return FixedPoint(label, family=description, representatives=reps,
-                          residual=max(residual(m, p) for m in reps))
+        rates = p.as_tuple()
+        return FixedPoint(label, family=description,
+                          representatives=tuple(np.array(m) for m in members),
+                          residual=max(_residual(m, rates) for m in members))
     return make
 
 

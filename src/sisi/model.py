@@ -18,6 +18,7 @@ inequalities; see :func:`validate_params`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,10 @@ class ModelParams:
     beta2  susceptibility of recovered individuals
     k1     infectivity of the first infected class
     k2     infectivity of the second infected class
+
+    What derives from the rates alone (the admissibility report, the
+    interior quadratic) is computed once per instance; see
+    :func:`_per_params`.
     """
 
     b: float
@@ -151,20 +156,40 @@ def _check_rates(p: ModelParams) -> None:
         )
 
 
+def _per_params(fn):
+    """Memoize ``fn(p)`` on the frozen :class:`ModelParams` ``p``.
+
+    The value is stored in the instance's ``__dict__``, beside the rates it
+    derives from, so a later call on the same instance returns it without
+    recomputing; a call that raises stores nothing.
+    """
+    key = f"_{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def memoized(p):
+        memo = p.__dict__
+        if key in memo:
+            return memo[key]
+        value = memo[key] = fn(p)
+        return value
+    return memoized
+
+
+@_per_params
 def validate_params(p: ModelParams) -> AdmissibilityReport:
     """Check the nine simplex-preservation inequalities.
 
     Raises :class:`NegativeParameter` for a negative or non-finite rate (a
     distinct error: such rates are malformed input, not merely
-    inadmissible).
+    inadmissible).  The report is computed once per ``p``.
     """
     _check_rates(p)
     args = p.as_tuple()
-    violations = tuple(
+    violations = tuple([
         Violation(name, value, bound)
         for name, fn, bound in _CONDITIONS
         if (value := fn(*args)) > bound
-    )
+    ])
     return AdmissibilityReport(violations)
 
 
@@ -193,19 +218,28 @@ class SimplexPoint:
 
     def __post_init__(self) -> None:
         for name in ("x", "u", "y", "v"):
-            c = float(getattr(self, name))
+            given = getattr(self, name)
+            c = float(given)
             if not c >= -COORD_CLAMP:
                 raise ValueError(
                     f"coordinate {name}={c!r} is NaN or negative beyond round-off"
                 )
             # <= rather than <, so that -0.0 is stored as 0.0 too
-            object.__setattr__(self, name, 0.0 if c <= 0.0 else c)
+            if c <= 0.0:
+                c = 0.0
+            if c is not given:  # float() returns a float argument itself
+                object.__setattr__(self, name, c)
         total = self.x + self.u + self.y + self.v
         if abs(total - 1.0) > SUM_GUARD:
             raise ValueError(f"coordinates sum to {total!r}, not 1")
 
     @classmethod
     def from_array(cls, a) -> "SimplexPoint":
+        """The point whose coordinates are the four entries of ``a``, of
+        shape (4,); any other shape raises ValueError."""
+        shape = np.shape(a)
+        if shape != (4,):
+            raise ValueError(f"a simplex point takes shape (4,), got {shape}")
         return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
     def as_array(self) -> np.ndarray:

@@ -141,7 +141,7 @@ def classify_lambda1(p: ModelParams) -> StabilityClass:
     hyperbolic; on the boundary set the closed form is the honest answer
     while root-finding noise is not.
     """
-    eigs = tuple(complex(m) for m in lambda1_spectrum(p))
+    eigs = tuple(map(complex, lambda1_spectrum(p)))
     gap = p.beta1 * p.k1 - (p.b + p.alpha)
     if abs(p.b) <= BOUNDARY_TOL or abs(gap) <= BOUNDARY_TOL:
         kind = "nonhyperbolic"

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import warnings
@@ -20,6 +21,7 @@ from sisi.fixpoints import DegenerateRegime, fixed_point_set, interior_quadratic
 from sisi.dynamics import (
     GridSpec,
     LimitReport,
+    PredictedLimit,
     RegimeUnsatisfiable,
     ScanReport,
     _batch_limits,
@@ -446,6 +448,79 @@ class TestPredictedLimit:
                               predicted=pred)
         assert report.match is True
         assert report.deviation <= 1e-6
+
+    def test_proven_rules_cite_no_conjecture(self):
+        # u0 = v0 = 0 with all six rates positive is proven (no infection
+        # ever starts) but used to cite the interior-limit conjecture
+        pred = predicted_limit(SimplexPoint(0.6, 0, 0.4, 0), WORKED)
+        assert pred.regime == "interior-conjecture/u0=v0=0" and not pred.conjectural
+        assert "conjecture" not in pred.source
+        for rule in dynamics._RULES:
+            assert ("conjecture" in rule.source) == rule.conjectural, rule.regime
+        report = verify_proposition("interior-conjecture/u0=v0=0", trials=2, seed=0)
+        assert report.passed and "conjecture" not in report.description
+
+    def test_root_on_floats_has_the_array_bits(self, rng):
+        # the largest interior root of one rate set in Python floats against
+        # the same rates as array columns (np.sqrt, np.fmax): the dyadic
+        # grid (double roots, c2 = 0, disc < 0) and box draws
+        dyadic = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
+        draws = [random_admissible(rng).as_tuple() for _ in range(2000)]
+        cells = np.array([c for c in itertools.chain(itertools.product(dyadic, repeat=6), draws)
+                          if ModelParams(*c).admissible])
+        start = (0.25, 0.25, 0.25, 0.25)
+        columns = dynamics._inputs(tuple(cells.T), start).root
+        for rates, expected in zip(cells.tolist(), columns.tolist()):
+            got = dynamics._inputs(tuple(rates), start).root
+            assert type(got) in (float, np.float64), rates
+            assert (math.isnan(got) and math.isnan(expected)
+                    or float(got).hex() == expected.hex()), rates
+
+
+class TestPinnedDeviation:
+    @staticmethod
+    def numpy_form(target, limit):
+        mask = ~np.isnan(target)
+        return float(np.max(np.abs(limit[mask] - target[mask])))
+
+    def test_equals_numpy_form_on_every_rule_target(self):
+        # the targets each rule gives on draws where it is the first that
+        # holds (free coordinates NaN), against limits off, on and beside them
+        rng = np.random.default_rng(5)
+        shapes = set()
+        for index, rule in enumerate(dynamics._RULES):
+            rates, starts = dynamics._sample(index, 3, rng)
+            for r, s in zip(rates.tolist(), starts.tolist()):
+                pred = predicted_limit(SimplexPoint(*s), ModelParams(*r))
+                assert pred.regime == rule.regime
+                shapes.add(tuple(np.isnan(pred.target).tolist()))
+                filled = np.where(np.isnan(pred.target), 0.5, pred.target)
+                for limit in (np.array(s), rng.dirichlet(np.ones(4)), filled,
+                              filled + 1e-9, np.full(4, math.inf)):
+                    got = pred.pinned_deviation(limit)
+                    assert type(got) is float
+                    assert got.hex() == self.numpy_form(pred.target, limit).hex(), (rule, limit)
+        assert len(shapes) > 3  # points and targets with one and two free coordinates
+
+    def test_nan_in_a_pinned_coordinate_gives_nan(self):
+        pred = PredictedLimit("r", "s", np.array([np.nan, 0.0, np.nan, 0.5]))
+        for limit in ([0.1, np.nan, 0.2, 0.3], [0.1, 0.2, 0.3, np.nan], [np.nan, 9.0, 0.2, np.nan]):
+            limit = np.array(limit)
+            assert math.isnan(pred.pinned_deviation(limit))
+            assert math.isnan(self.numpy_form(pred.target, limit))
+        assert pred.pinned_deviation(np.array([np.nan, 0.25, np.nan, 0.25])) == 0.25
+
+    def test_no_pinned_coordinate_gives_zero(self):
+        # the convention of the benchmark's checker (max(..., default=0.0));
+        # np.max of an empty selection raised ValueError
+        pred = PredictedLimit("r", "s", np.full(4, np.nan))
+        assert pred.pinned_deviation(np.array([0.1, 0.2, 0.3, 0.4])) == 0.0
+        assert pred.check(np.array([0.1, 0.2, 0.3, 0.4]), 0.0) == (True, 0.0)
+
+    def test_limit_of_another_length_raises(self):
+        pred = PredictedLimit("r", "s", np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            pred.pinned_deviation(np.array([1.0, 0.0, 0.0]))
 
 
 # Cases narrower than one rule: (rule, premise on the (n, 6) rates and

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sisi import fixpoints
+from sisi import fixpoints, stability, tensor
+from sisi.dynamics import equilibrium_curves
 from sisi.model import RESIDUAL_TOL, ModelParams, SimplexPoint, _step, apply_V, validate_params
 from sisi.fixpoints import (
     DegenerateRegime,
@@ -80,6 +81,26 @@ class TestInteriorQuadratic:
         with pytest.raises(DegenerateRegime):
             interior_quadratic(ModelParams(0.2, 0.3, 0.6, 0.0, 1.0, 1.0))
 
+    def test_computed_once_per_params(self):
+        p = ModelParams(*WORKED.as_tuple())
+        assert interior_quadratic(p) is interior_quadratic(p)
+        degenerate = ModelParams(0.2, 0.3, 0.6, 0.0, 1.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(DegenerateRegime):
+                interior_quadratic(degenerate)
+
+    def test_balance_gap_bits(self, rng):
+        # the closure forms its A-free factors once; each value keeps the
+        # bits of the formula evaluated in full
+        for _ in range(200):
+            p = random_admissible(rng)
+            b, al, b1, b2, k1, k2 = p.as_tuple()
+            gap = _balance_gap(p)
+            for A in rng.uniform(0.0, 3.0, 5).tolist():
+                first = b * b1 * k1 / ((b + b1 * A) * (b + al))
+                second = al * b1 * b2 * k2 * A / ((b + b1 * A) * (b + b2 * A) * (b + al))
+                assert gap(A).hex() == (first + second - 1.0).hex(), (p, A)
+
     @staticmethod
     def spy_root_finds(monkeypatch):
         calls = []
@@ -99,6 +120,22 @@ class TestInteriorQuadratic:
         assert len(calls) == 1
         lo, hi = calls[0]
         assert 0.2 < lo < 13 / 60 < hi
+
+    def test_catalog_request_cross_checks_once(self, monkeypatch):
+        # what one catalog request does with one ModelParams: the catalog,
+        # stability at each isolated point, the tensor axioms and the
+        # balance curves; the curves reuse the catalog's checked quadratic
+        calls = self.spy_root_finds(monkeypatch)
+        p = ModelParams(*WORKED.as_tuple())
+        assert validate_params(p).ok
+        catalog = fixed_point_set(p)
+        stability.classify_lambda1(p)
+        for fp in catalog:
+            stability.classify_at(SimplexPoint.from_array(fp.point), p)
+        assert tensor.check_axioms(tensor.build_tensor(p)).ok
+        curves = equilibrium_curves(p)
+        assert len(calls) == 1
+        assert curves.quadratic is interior_quadratic(p)
 
     def test_cross_check_skips_roots_a_fold_apart(self, monkeypatch):
         # roots 2.02310e-2 and 2.02314e-2: the balance gap is so flat between
@@ -133,7 +170,7 @@ class TestBracketedRoot:
             # the bracket must exclude a second positive root
             lo = max(0.5 * root, 0.5 * (quad.roots[0] + root))
             found += 1
-            got = bracketed_root(lambda A: _balance_gap(p, A), lo, 1.5 * root)
+            got = bracketed_root(_balance_gap(p), lo, 1.5 * root)
             assert abs(got - root) <= 1e-13 * root, p
 
     def test_stops_where_one_ulp_exceeds_1e_15(self):

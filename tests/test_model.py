@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sisi
+from sisi import model
 from sisi.model import (
     InadmissibleParams,
     ModelParams,
@@ -28,6 +29,35 @@ FIG2 = ModelParams(b=0.1, alpha=0.2, beta1=0.5, beta2=0.0, k1=1.0, k2=0.3)
 
 
 class TestValidateParams:
+    def test_report_is_computed_once_per_params(self):
+        p = ModelParams(0.2, 0.3, 0.6, 0.4, 1.0, 1.0)
+        assert validate_params(p) is validate_params(p)
+        assert validate_params(ModelParams(*p.as_tuple())) is not validate_params(p)
+
+    def test_memo_stores_values_not_exceptions(self):
+        calls = []
+
+        @model._per_params
+        def flaky(p):
+            calls.append(p)
+            if len(calls) == 1:
+                raise ArithmeticError("first call fails")
+            return object()
+
+        p = ModelParams(0.2, 0.3, 0.6, 0.4, 1.0, 1.0)
+        with pytest.raises(ArithmeticError):
+            flaky(p)
+        value = flaky(p)
+        assert flaky(p) is value and len(calls) == 2
+        assert flaky(ModelParams(*p.as_tuple())) is not value and len(calls) == 3
+
+    def test_rejected_rates_raise_every_time(self):
+        p = ModelParams(0.2, -0.1, 0.6, 0.4, 1.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(NegativeParameter):
+                validate_params(p)
+            assert not p.admissible
+
     def test_reference_rates_admissible(self):
         assert validate_params(FIG1).ok
         assert FIG1.admissible
@@ -96,6 +126,27 @@ class TestSimplexPoint:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             SimplexPoint(0.5, 0.5, 0.5, 0.5)
+
+    def test_stores_python_floats(self):
+        s = SimplexPoint(np.float64(0.25), 0, np.float32(0.5), 0.25)
+        assert s.as_tuple() == (0.25, 0.0, 0.5, 0.25)
+        assert all(type(c) is float for c in s.as_tuple())
+
+    def test_from_array_takes_four_values(self):
+        assert SimplexPoint.from_array([0.25, 0.25, 0.5, 0.0]).as_tuple() == (0.25, 0.25, 0.5, 0.0)
+        assert SimplexPoint.from_array(np.array([0.0, 0.0, 0.0, 1.0])).v == 1.0
+
+    @pytest.mark.parametrize("a", [
+        [0.25, 0.25, 0.25, 0.25, 7.0],  # used to drop the fifth value
+        [0.5, 0.25, 0.25],              # used to raise IndexError
+        [[0.25, 0.25, 0.25, 0.25]],
+        1.0,
+    ], ids=["five", "three", "row", "scalar"])
+    def test_from_array_rejects_other_shapes(self, a):
+        with pytest.raises(ValueError, match=r"shape \(4,\), got \("):
+            SimplexPoint.from_array(np.array(a))
+        with pytest.raises(ValueError, match=r"shape \(4,\)"):
+            SimplexPoint.from_array(a)
 
 
 class TestForceOfInfection:

@@ -324,13 +324,10 @@ class _Inputs(SimpleNamespace):
     @cached_property
     def root(self):
         """The interior quadratic's largest root, elementwise (NaN where
-        none), computed on first use only.
-
-        On one rate set of Python floats whose quadratic has two distinct
-        roots, numpy's scalar wrappers are skipped: math.sqrt and np.sqrt are
-        both correctly rounded, and the larger root is taken as np.fmax
-        does, so the bits are the same.
-        """
+        none), computed on first use only.  One rate set of Python floats
+        with two distinct roots skips numpy's scalar wrappers, with the same
+        bits: math.sqrt is correctly rounded too, and the comparison picks
+        the root np.fmax would."""
         c2, c1, c0, disc = _quadratic(self.b, self.al, self.b1, self.b2, self.k1, self.k2)
         if type(disc) is float and disc > 0.0 and c2 != 0.0:
             r, s = _roots(c2, c1, c0, math.sqrt(disc))

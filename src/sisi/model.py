@@ -218,17 +218,13 @@ class SimplexPoint:
 
     def __post_init__(self) -> None:
         for name in ("x", "u", "y", "v"):
-            given = getattr(self, name)
-            c = float(given)
+            c = float(getattr(self, name))
             if not c >= -COORD_CLAMP:
                 raise ValueError(
                     f"coordinate {name}={c!r} is NaN or negative beyond round-off"
                 )
             # <= rather than <, so that -0.0 is stored as 0.0 too
-            if c <= 0.0:
-                c = 0.0
-            if c is not given:  # float() returns a float argument itself
-                object.__setattr__(self, name, c)
+            object.__setattr__(self, name, 0.0 if c <= 0.0 else c)
         total = self.x + self.u + self.y + self.v
         if abs(total - 1.0) > SUM_GUARD:
             raise ValueError(f"coordinates sum to {total!r}, not 1")

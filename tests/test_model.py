@@ -127,11 +127,6 @@ class TestSimplexPoint:
         with pytest.raises(ValueError):
             SimplexPoint(0.5, 0.5, 0.5, 0.5)
 
-    def test_stores_python_floats(self):
-        s = SimplexPoint(np.float64(0.25), 0, np.float32(0.5), 0.25)
-        assert s.as_tuple() == (0.25, 0.0, 0.5, 0.25)
-        assert all(type(c) is float for c in s.as_tuple())
-
     def test_from_array_takes_four_values(self):
         assert SimplexPoint.from_array([0.25, 0.25, 0.5, 0.0]).as_tuple() == (0.25, 0.25, 0.5, 0.0)
         assert SimplexPoint.from_array(np.array([0.0, 0.0, 0.0, 1.0])).v == 1.0

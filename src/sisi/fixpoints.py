@@ -304,7 +304,8 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
             "the equilibrium quadratic has no positive root for these rates"
         )
     b, al, b1, b2, _, _ = rates = p.as_tuple()
-    x, u, y, v = q = _interior_coordinates(b, al, b1, b2, quad.positive_root)
+    point = np.array(_interior_coordinates(b, al, b1, b2, quad.positive_root))
+    x, u, y, v = q = point.tolist()
     res = _residual(q, rates)
     if res > RESIDUAL_TOL:
         raise ArithmeticError(
@@ -314,7 +315,7 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
     if _residual((b / (b + al), u, y, v), rates) > RESIDUAL_TOL:
         note = ("x = b/(b+beta1*A) verified; the alternative x = b/(b+alpha) "
                 "fails the residual check")
-    return FixedPoint(label="lambda_11", point=np.array(q), residual=res, note=note)
+    return FixedPoint(label="lambda_11", point=point, residual=res, note=note)
 
 
 def _lambda1(label, p):
@@ -328,8 +329,8 @@ def _isolated(coords):
     """Row maker: the point coords(b, al, b1, b2, k1, k2) with its residual."""
     def make(label, p):
         rates = p.as_tuple()
-        q = coords(*rates)
-        return FixedPoint(label, point=np.array(q), residual=_residual(q, rates))
+        point = np.array(coords(*rates))
+        return FixedPoint(label, point=point, residual=_residual(point.tolist(), rates))
     return make
 
 

@@ -1,9 +1,13 @@
 """The fixed-point catalog across parameter regimes.
 
-Isolated fixed points are labeled lambda_1 ... lambda_11; fixed faces of
-the simplex Lambda_5 ... Lambda_8 (S3 when everything is fixed).  The
-catalog is assembled by union-and-verify: branch formulas propose
-candidates, the one-step residual decides.
+The catalog is derived from the fixed-point equations.  For b > 0 each
+positive root A of the interior quadratic Q gives one fixed point besides
+the disease-free state lambda_1, labelled by its support (lambda_9,
+lambda_10, or lambda_11 and lambda_11b for the larger and smaller interior
+root).  For b = 0 the fixed set is a union of coordinate faces: the
+labelled ones (lambda_2 ... lambda_4, Lambda_5 ... Lambda_8, S3) wherever
+they are fixed, and any other maximal fixed face by its support
+(face_uv, ...).  Every entry passes the one-step residual check.
 """
 
 import math
@@ -35,7 +39,13 @@ show("no recovery, supercritical first wave",
 show("recovery without reinfection",
      ModelParams(b=0.1, alpha=0.2, beta1=0.5, beta2=0.0, k1=1.0, k2=0.3))
 
-# Fixed faces appear in degenerate regimes.
+# Q can have two positive roots, A = 1/8 and A = 1/12 here: two interior
+# fixed points.
+show("two interior equilibria",
+     ModelParams(b=0.125, alpha=0.125, beta1=0.75, beta2=0.5, k1=0.25, k2=1.0))
+
+# Fixed faces appear without turnover; the edge x = y = 0 carries no flow
+# at all here, so it is listed by its support.
 show("no turnover, no recovery", ModelParams(0.0, 0.0, 0.5, 0.5, 1.0, 1.0))
 
 # The interior fixed point comes from a quadratic in the equilibrium force

@@ -17,6 +17,8 @@ in the one-crossing and no-crossing regimes.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -285,16 +287,14 @@ def cmd_fixpoints(args) -> int:
     cfg = _resolve(args)
     p = _require_params(cfg)
     catalog = fixed_point_set(p)
-    lines = [f"# config: {cfg.echo()}",
-             "label,x,u,y,v,residual,stability,family"]
+    table = io.StringIO()  # csv quotes a family description with commas
+    rows = csv.writer(table, lineterminator="\n")
+    rows.writerow(["label", "x", "u", "y", "v", "residual", "stability", "family"])
     for fp in catalog:
-        if fp.point is not None:
-            coords = ",".join(_fmt(c) for c in fp.point)
-        else:
-            coords = ",,,"
-        lines.append(f"{fp.label},{coords},{_fmt(fp.residual)},"
-                     f"{fp.stability or ''},{fp.family or ''}")
-    _emit(cfg, "\n".join(lines) + "\n")
+        coords = [""] * 4 if fp.point is None else [_fmt(c) for c in fp.point]
+        rows.writerow([fp.label, *coords, _fmt(fp.residual), fp.stability or "",
+                       fp.family or ""])
+    _emit(cfg, f"# config: {cfg.echo()}\n{table.getvalue()}")
     return OK
 
 

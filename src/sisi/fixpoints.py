@@ -1,19 +1,18 @@
-"""Fixed-point catalog of the SISI operator.
+"""Fixed-point catalog of the SISI operator, derived from V(q) = q.
 
-Isolated fixed points carry the catalog labels lambda_1 ... lambda_11;
-fixed faces of the simplex carry Lambda_5 ... Lambda_8, and S3 marks the
-regimes in which every point is fixed.  One ordered table, _CANDIDATES,
-gives each entry's label, the condition on the rates under which it is
-proposed, and its closed-form point or sampled family members.  The
-conditions overlap, so the catalog is assembled by union-and-verify:
-every proposed candidate must pass the one-step residual test
-||V(q) - q||_inf <= RESIDUAL_TOL before it is kept.  The residual check is
-ground truth and the conditions only propose, though each family's
-condition is exactly where all of it is fixed.
-
-The interior fixed point lambda_11 is parametrized by the positive root of
-a quadratic in the equilibrium force of infection A; see
-:func:`interior_quadratic`.
+lambda_1 = (1, 0, 0, 0) is always fixed and listed first.  For b > 0 a
+fixed point has x = b/(b + beta1*A), u = beta1*A*x/(b + alpha),
+y = alpha*u/(b + beta2*A) and v = beta2*A*y/b, and substituting these into
+A = k1*u + k2*v gives A*Q(A) = 0 with Q the quadratic of
+:func:`interior_quadratic`: each positive root of Q adds one point,
+labelled by its support as lambda_9 (y = v = 0), lambda_10 (v = 0), or
+lambda_11 and lambda_11b (interior; larger and smaller root).  For b = 0
+the equations are beta1*A*x = alpha*u = beta2*A*y = 0, so the fixed set
+is the union of the coordinate faces on which all three vanish: each face
+with a label (vertices lambda_2 ... lambda_4, Lambda_5 ... Lambda_8, and S3
+for the whole simplex) is listed where it is fixed, then every other
+maximal fixed face by its support, as face_uv.  An entry is kept only if
+its one-step residual ||V(q) - q||_inf is at most RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -263,25 +262,20 @@ class FixedPoint:
         return self.representatives
 
 
-_EDGE_TS = (0.05, 0.275, 0.5, 0.725, 0.95)
-_FACE_TS = (
-    (0.8, 0.15, 0.05),
-    (0.1, 0.8, 0.1),
-    (0.05, 0.15, 0.8),
-    (1 / 3, 1 / 3, 1 / 3),
-    (0.5, 0.25, 0.25),
-)
-_FULL_TS = (
-    (0.7, 0.1, 0.1, 0.1),
-    (0.1, 0.7, 0.1, 0.1),
-    (0.1, 0.1, 0.7, 0.1),
-    (0.1, 0.1, 0.1, 0.7),
-    (0.25, 0.25, 0.25, 0.25),
-)
+def _interior_point(label, p, A) -> FixedPoint:
+    """The interior map's point at root ``A``, with its residual and note."""
+    b, al, b1, b2, _, _ = rates = p.as_tuple()
+    point = np.array(_interior_coordinates(b, al, b1, b2, A))
+    x, u, y, v = q = point.tolist()
+    note = ""
+    if _residual((b / (b + al), u, y, v), rates) > RESIDUAL_TOL:
+        note = ("x = b/(b+beta1*A) verified; the alternative x = b/(b+alpha) "
+                "fails the residual check")
+    return FixedPoint(label, point=point, residual=_residual(q, rates), note=note)
 
 
 def interior_fixed_point(p: ModelParams) -> FixedPoint:
-    """The fully interior fixed point lambda_11.
+    """The interior fixed point lambda_11 of admissible rates.
 
     Built from the closed form
 
@@ -295,6 +289,7 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
     with x = b/(b + alpha) circulates but does not satisfy V(q) = q, and
     this check is what arbitrates between them.
     """
+    require_admissible(p)
     try:
         quad = interior_quadratic(p)
     except DegenerateRegime as exc:
@@ -303,108 +298,112 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
         raise NoInteriorPoint(
             "the equilibrium quadratic has no positive root for these rates"
         )
-    b, al, b1, b2, _, _ = rates = p.as_tuple()
-    point = np.array(_interior_coordinates(b, al, b1, b2, quad.positive_root))
-    x, u, y, v = q = point.tolist()
-    res = _residual(q, rates)
-    if res > RESIDUAL_TOL:
+    fp = _interior_point("lambda_11", p, quad.positive_root)
+    if fp.residual > RESIDUAL_TOL:
         raise ArithmeticError(
-            f"interior fixed-point residual {res:.3e} exceeds {RESIDUAL_TOL:g}"
+            f"interior fixed-point residual {fp.residual:.3e} exceeds {RESIDUAL_TOL:g}"
         )
-    note = ""
-    if _residual((b / (b + al), u, y, v), rates) > RESIDUAL_TOL:
-        note = ("x = b/(b+beta1*A) verified; the alternative x = b/(b+alpha) "
-                "fails the residual check")
-    return FixedPoint(label="lambda_11", point=point, residual=res, note=note)
+    return fp
 
 
-def _lambda1(label, p):
-    """Row maker: (1, 0, 0, 0) with its residual and closed-form stability."""
-    q = (1.0, 0.0, 0.0, 0.0)
-    return FixedPoint(label, point=np.array(q), residual=_residual(q, p.as_tuple()),
-                      stability=stability.classify_lambda1(p).classification)
+def _entry(label, q, rates) -> FixedPoint:
+    return FixedPoint(label, point=np.array(q), residual=_residual(q, rates))
 
 
-def _isolated(coords):
-    """Row maker: the point coords(b, al, b1, b2, k1, k2) with its residual."""
-    def make(label, p):
-        rates = p.as_tuple()
-        point = np.array(coords(*rates))
-        return FixedPoint(label, point=point, residual=_residual(point.tolist(), rates))
-    return make
+def _endemic_points(p: ModelParams):
+    """b > 0: the points at the positive roots of Q, larger root first.
+
+    With alpha = 0 or beta2 = 0, Q is a positive multiple of A - A*, with
+    A* = b*(beta1*k1 - b - alpha)/((b + alpha)*beta1): one point, at the
+    closed form of lambda_9 or lambda_10, iff beta1*k1 > b + alpha.  That
+    sign is read off the rates, since the b^2 in Q's c0 can underflow.
+    """
+    b, al, b1, b2, k1, _ = rates = p.as_tuple()
+    bk = b1 * k1
+    if al == 0.0 or b2 == 0.0:
+        if bk > b + al and al == 0.0:
+            yield _entry("lambda_9", (*_lambda9_coordinates(b, bk), 0.0, 0.0), rates)
+        elif bk > b + al:
+            try:
+                q = (*_lambda10_coordinates(b, al, bk), 0.0)
+            except ZeroDivisionError:  # bk*(b + alpha) underflows
+                q = _interior_coordinates(b, al, b1, b2, b / (b + al) * ((bk - b - al) / b1))
+            yield _entry("lambda_10", q, rates)
+        return
+    if min(rates) > 0.0 and math.prod(rates) == 0.0:
+        return  # the rates' product underflows, and Q's coefficients lose its roots
+    try:
+        roots = interior_quadratic(p).roots
+    except DegenerateRegime:  # c2 = 0: beta1 = 0 (no positive root) or an underflow
+        return
+    for label, A in zip(("lambda_11", "lambda_11b"), [r for r in reversed(roots) if r > 0.0]):
+        yield _interior_point(label, p, A)
 
 
-def _family(description, members):
-    """Row maker: a family sampled at ``members``, with its largest residual."""
-    def make(label, p):
-        rates = p.as_tuple()
-        return FixedPoint(label, family=description,
-                          representatives=tuple(np.array(m) for m in members),
-                          residual=max(_residual(m, rates) for m in members))
-    return make
+# The paper's labels of coordinate faces, by support, in listing order;
+# lambda_1, the vertex x, comes first in every catalog.
+_NAMED = {"v": "lambda_2", "y": "lambda_3", "u": "lambda_4", "xy": "Lambda_5",
+          "uyv": "Lambda_7", "xuyv": "S3", "xyv": "Lambda_6", "yv": "Lambda_8"}
+# Sampled members of an edge, a triangle and the whole simplex: the
+# coordinates on the support, in x, u, y, v order.
+_SAMPLES = {
+    2: tuple((t, 1.0 - t) for t in (0.05, 0.275, 0.5, 0.725, 0.95)),
+    3: ((0.8, 0.15, 0.05), (0.1, 0.8, 0.1), (0.05, 0.15, 0.8), (1 / 3, 1 / 3, 1 / 3),
+        (0.5, 0.25, 0.25)),
+    4: ((0.7, 0.1, 0.1, 0.1), (0.1, 0.7, 0.1, 0.1), (0.1, 0.1, 0.7, 0.1),
+        (0.1, 0.1, 0.1, 0.7), (0.25, 0.25, 0.25, 0.25)),
+}
 
 
-# The catalog's candidates in listing order: a label, the rates under which
-# it is proposed, and how it is made from them.  The conditions overlap and
-# only propose; fixed_point_set keeps what passes the residual check.
-_CANDIDATES = (
-    ("lambda_1", lambda b, al, b1, b2, k1, k2: True, _lambda1),
-    ("lambda_2", lambda b, al, b1, b2, k1, k2: b == 0.0,
-     _isolated(lambda *r: (0.0, 0.0, 0.0, 1.0))),
-    ("lambda_3", lambda b, al, b1, b2, k1, k2: b == 0.0,
-     _isolated(lambda *r: (0.0, 0.0, 1.0, 0.0))),
-    ("lambda_4", lambda b, al, b1, b2, k1, k2: b == 0.0 and al == 0.0,
-     _isolated(lambda *r: (0.0, 1.0, 0.0, 0.0))),
-    ("lambda_9", lambda b, al, b1, b2, k1, k2: b > 0.0 and al == 0.0 and b1 * k1 > b,
-     _isolated(lambda b, al, b1, b2, k1, k2: (*_lambda9_coordinates(b, b1 * k1), 0.0, 0.0))),
-    ("lambda_10", lambda b, al, b1, b2, k1, k2: (
-        b > 0.0 and al > 0.0 and b2 == 0.0 and b1 * k1 > b + al),
-     _isolated(lambda b, al, b1, b2, k1, k2: (*_lambda10_coordinates(b, al, b1 * k1), 0.0))),
-    # NoInteriorPoint means no candidate
-    ("lambda_11", lambda b, al, b1, b2, k1, k2: al * b * b1 * b2 * k1 * k2 > 0.0,
-     lambda label, p: interior_fixed_point(p)),
-    # each family's condition is exactly where all of it is fixed
-    ("Lambda_5", lambda b, al, b1, b2, k1, k2: b == 0.0,
-     _family("u = v = 0; x in [0, 1], y = 1 - x",
-             [(t, 0.0, 1.0 - t, 0.0) for t in _EDGE_TS])),
-    ("Lambda_7", lambda b, al, b1, b2, k1, k2: (
-        b == 0.0 and al == 0.0 and (b2 == 0.0 or k1 == k2 == 0.0)),
-     _family("x = 0; u, y, v >= 0 with u + y + v = 1",
-             [(0.0, a, c, d) for a, c, d in _FACE_TS])),
-    ("S3", lambda b, al, b1, b2, k1, k2: (
-        b == 0.0 and al == 0.0 and (k1 == k2 == 0.0 or b1 == b2 == 0.0)),
-     _family("the whole simplex (identity dynamics)", _FULL_TS)),
-    ("Lambda_6", lambda b, al, b1, b2, k1, k2: (
-        b == 0.0 and b1 * k2 == 0.0 and b2 * k2 == 0.0),
-     _family("u = 0; x, y, v >= 0 with x + y + v = 1",
-             [(a, 0.0, c, d) for a, c, d in _FACE_TS])),
-    ("Lambda_8", lambda b, al, b1, b2, k1, k2: b == 0.0 and b2 * k2 == 0.0,
-     _family("x = u = 0; y in [0, 1], v = 1 - y",
-             [(0.0, 0.0, t, 1.0 - t) for t in _EDGE_TS])),
-)
+def _face_fixed(support, al, b1, b2, k1, k2) -> bool:
+    """b = 0: whether beta1*A*x, alpha*u and beta2*A*y vanish on the face.
+
+    A rate product that underflows counts as zero, as it does in V.
+    """
+    ks = [k for c, k in zip("uv", (k1, k2)) if c in support]
+    return ("u" not in support or al == 0.0) and all(
+        rate * k == 0.0 for c, rate in zip("xy", (b1, b2)) if c in support for k in ks)
+
+
+def _face(label, support, rates) -> FixedPoint:
+    """The vertex, or the family sampled at _SAMPLES, with support ``support``."""
+    if len(support) == 1:
+        return _entry(label, tuple(float(c == support) for c in "xuyv"), rates)
+    zero = " = ".join(c for c in "xuyv" if c not in support)
+    family = {2: f"{zero} = 0; {support[0]} in [0, 1], {support[1]} = 1 - {support[0]}",
+              3: f"{zero} = 0; {', '.join(support)} >= 0 with {' + '.join(support)} = 1",
+              4: "the whole simplex (identity dynamics)"}[len(support)]
+    members = [tuple(dict(zip(support, t)).get(c, 0.0) for c in "xuyv")
+               for t in _SAMPLES[len(support)]]
+    return FixedPoint(label, family=family,
+                      representatives=tuple(np.array(m) for m in members),
+                      residual=max(_residual(m, rates) for m in members))
+
+
+def _faces(rates):
+    """b = 0: the named faces that are fixed, then the other maximal ones."""
+    fixed = [s for n in (1, 2, 3, 4) for s in map("".join, combinations("xuyv", n))
+             if _face_fixed(s, *rates[1:])]
+    maximal = [s for s in fixed if s not in _NAMED and not any(set(s) < set(t) for t in fixed)]
+    for support in [s for s in _NAMED if s in fixed] + maximal:
+        yield _face(_NAMED.get(support, "face_" + support), support, rates)
 
 
 def fixed_point_set(p: ModelParams) -> list[FixedPoint]:
-    """The full catalog of fixed points for admissible rates.
-
-    Proposes every ``_CANDIDATES`` row whose condition holds, in table
-    order, and keeps exactly those whose residual is at most RESIDUAL_TOL;
-    an isolated point within 1e-12 of one already kept is dropped.
-    lambda_1 = (1, 0, 0, 0) is always fixed and always listed first.
+    """The full catalog of fixed points for admissible rates: lambda_1, with
+    its closed-form stability, then what the rule for b > 0 or b = 0 derives.
+    An isolated point within 1e-12 of one already kept is dropped.
     """
     require_admissible(p)
     rates = p.as_tuple()
+    q = (1.0, 0.0, 0.0, 0.0)
+    lambda1 = FixedPoint("lambda_1", point=np.array(q), residual=_residual(q, rates),
+                         stability=stability.classify_lambda1(p).classification)
     kept: list[FixedPoint] = []
     points: list[list[float]] = []  # coordinates of the kept isolated points
-    for label, when, make in _CANDIDATES:
-        if not when(*rates):
-            continue
-        try:
-            fp = make(label, p)
-        except NoInteriorPoint:
-            continue
+    for fp in [lambda1, *(_endemic_points(p) if rates[0] > 0.0 else _faces(rates))]:
         if fp.residual > RESIDUAL_TOL:
-            continue  # proposed, but not fixed
+            continue  # derived, but not fixed in floating point
         if fp.point is not None:
             x, u, y, v = q = fp.point.tolist()
             if any(abs(a - x) <= 1e-12 and abs(b - u) <= 1e-12

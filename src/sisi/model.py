@@ -77,8 +77,8 @@ class ModelParams:
     k2     infectivity of the second infected class
 
     What derives from the rates alone (the admissibility report, the
-    interior quadratic) is computed once per instance; see
-    :func:`_per_params`.
+    interior quadratic, the closed-form class of lambda_1) is computed
+    once per instance; see :func:`_per_params`.
     """
 
     b: float

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sisi.model import ModelParams, SimplexPoint, force_of_infection
+from sisi.model import ModelParams, SimplexPoint, _check_rates, _per_params, force_of_infection
 
 __all__ = [
     "NonConvergence",
@@ -130,6 +130,7 @@ def lambda1_spectrum(p: ModelParams) -> tuple[float, float, float, float]:
     return (mu1, mu1, mu1, mu2)
 
 
+@_per_params
 def classify_lambda1(p: ModelParams) -> StabilityClass:
     """Closed-form classification of the disease-free state (1, 0, 0, 0).
 
@@ -139,8 +140,10 @@ def classify_lambda1(p: ModelParams) -> StabilityClass:
 
     Agrees with the generic eigenvalue path wherever the point is
     hyperbolic; on the boundary set the closed form is the honest answer
-    while root-finding noise is not.
+    while root-finding noise is not.  Raises NegativeParameter for a
+    negative or non-finite rate; the class is computed once per ``p``.
     """
+    _check_rates(p)
     eigs = tuple(map(complex, lambda1_spectrum(p)))
     gap = p.beta1 * p.k1 - (p.b + p.alpha)
     if abs(p.b) <= BOUNDARY_TOL or abs(gap) <= BOUNDARY_TOL:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import csv
 import hashlib
 import json
 import time
@@ -130,6 +131,15 @@ class TestFixpoints:
         assert main(["fixpoints", "--params", "b=nan", "alpha=0.1", "beta1=0.5",
                      "k1=1"]) == 2
 
+    def test_family_rows_are_well_formed_csv(self, capsys):
+        # family descriptions hold commas, so they are quoted
+        assert main(["fixpoints", "--params", "b=0", "alpha=0", "beta1=0.5",
+                     "beta2=0.5", "k1=1", "k2=1"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()[1:]))
+        assert rows[0] == ["label", "x", "u", "y", "v", "residual", "stability", "family"]
+        assert [len(row) for row in rows] == [8] * len(rows)
+        assert rows[5] == ["Lambda_5", "", "", "", "", "0", "", "u = v = 0; x in [0, 1], y = 1 - x"]
+
 
 class TestClassify:
     def test_nonhyperbolic_without_turnover(self, capsys):
@@ -145,6 +155,13 @@ class TestClassify:
         out = capsys.readouterr().out
         assert "closed-form,lambda_1,attracting" in out
 
+    def test_negative_rate_is_bad_input(self, capsys):
+        assert main(["classify", "--params", "b=-0.1", "alpha=0.1", "beta1=0.5",
+                     "k1=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "b=-0.1" in captured.err
+
 
 class TestConjugacy:
     def test_report_lines(self, capsys):
@@ -156,6 +173,12 @@ class TestConjugacy:
 
     def test_requires_infection_product(self):
         assert main(["conjugacy", "--params", "b=0.2"]) == 2
+
+    def test_negative_rate_is_bad_input(self, capsys):
+        assert main(["conjugacy", "--params", "b=-0.2", "beta1=0.6", "k1=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "b=-0.2" in captured.err
 
     @pytest.mark.parametrize("rates,named", [
         (["alpha=0.1"], "alpha=0.1"), (["k2=0.3"], "k2=0.3"),
@@ -317,7 +340,7 @@ class TestReportBytes:
          "a18d7b4629848e2e63aa76b3608404248ed96d01652ea217902a84021f10ca0c"),
         (["fixpoints", "--params", "b=0", "alpha=0", "beta1=0.5", "beta2=0.5", "k1=1",
           "k2=1"], 0,
-         "d2b5d2acaba087d4d3f952c95908d718cefe682f07f433c51f3a7c340fc2bf3e"),
+         "13380e655bf4d1eff6ba9b3c0ee756a32434a699ef186d9a738fe080662c70f7"),
         (["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1", "--grid", "77",
           "--root", "interior"], 0,
          "eb1a2ff85cfbaf7b18d1992c33f382cd3eab08c48786bf9bcd68859238dc264c"),

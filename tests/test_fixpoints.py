@@ -1,4 +1,4 @@
-"""Fixed-point catalog: quadratic, interior point, candidate table, residuals."""
+"""Fixed-point catalog: quadratic, interior point, derivation rules, residuals."""
 
 import itertools
 import math
@@ -8,11 +8,21 @@ import pytest
 
 from sisi import fixpoints, stability, tensor
 from sisi.dynamics import equilibrium_curves
-from sisi.model import RESIDUAL_TOL, ModelParams, SimplexPoint, _step, apply_V, validate_params
+from sisi.model import (
+    RESIDUAL_TOL,
+    ModelParams,
+    NegativeParameter,
+    SimplexPoint,
+    _step,
+    apply_V,
+    validate_params,
+)
 from sisi.fixpoints import (
     DegenerateRegime,
     NoInteriorPoint,
     _balance_gap,
+    _interior_coordinates,
+    _quadratic,
     barycentric_grid,
     bracketed_root,
     fixed_point_set,
@@ -220,6 +230,35 @@ class TestInteriorFixedPoint:
         with pytest.raises(NoInteriorPoint):
             interior_fixed_point(ModelParams(0.2, 0.3, 0.6, 0.0, 1.0, 1.0))
 
+    def test_negative_rate_is_rejected(self):
+        # the quadratic has a positive root here, whose "point" is off the simplex
+        with pytest.raises(NegativeParameter, match="b=-0.2"):
+            interior_fixed_point(ModelParams(-0.2, 0.3, 0.6, 0.4, 1.0, 1.0))
+
+
+class TestElimination:
+    def test_fixed_point_equations_imply_A_Q_A(self):
+        # for b > 0 the fixed-point equations, with the force of infection
+        # written A, have one solution: the interior map at A; and
+        # A = k1*u + k2*v holds there exactly when A*Q(A) = 0, with Q the
+        # library's cleared quadratic
+        import sympy
+
+        b, al, b1, b2, k1, k2, A = sympy.symbols("b alpha beta1 beta2 k1 k2 A", positive=True)
+        x, u, y, v = sympy.symbols("x u y v")
+        flows = (b1 * A * x, al * u, b2 * A * y)
+        equations = [b - b * x - flows[0], -b * u + flows[0] - flows[1],
+                     -b * y + flows[1] - flows[2], -b * v + flows[2]]
+        (solution,) = sympy.solve(equations, [x, u, y, v], dict=True)
+        mapped = _interior_coordinates(b, al, b1, b2, A)
+        for coord, expr in zip((x, u, y, v), mapped):
+            assert sympy.simplify(solution[coord] - expr) == 0
+        c2, c1, c0, _ = _quadratic(b, al, b1, b2, k1, k2)
+        _, mu, _, mv = mapped
+        cleared = (b + b1 * A) * (b + al) * (b + b2 * A)
+        identity = (k1 * mu + k2 * mv - A) * cleared + A * (c2 * A**2 + c1 * A + c0)
+        assert sympy.simplify(identity) == 0
+
 
 class TestFixedPointSet:
     def test_edge_fixed_point_with_reinfection_rates_present(self):
@@ -278,6 +317,85 @@ class TestFixedPointSet:
         fam = next(fp for fp in catalog if fp.label == "Lambda_7")
         assert len(fam.representatives) >= 5
         assert fam.residual <= 1e-10
+
+
+class TestDerivedEntries:
+    def test_both_interior_roots_are_listed(self):
+        # Q has roots A = 1/12 and 1/8; each gives an interior fixed point
+        catalog = fixed_point_set(ModelParams(0.125, 0.125, 0.75, 0.5, 0.25, 1.0))
+        assert [fp.label for fp in catalog] == ["lambda_1", "lambda_11", "lambda_11b"]
+        assert np.allclose(catalog[1].point, [4 / 7, 3 / 14, 1 / 7, 1 / 14], atol=1e-12)
+        assert np.allclose(catalog[2].point, [2 / 3, 1 / 6, 1 / 8, 1 / 24], atol=1e-12)
+
+    def test_interior_point_without_second_infectivity(self):
+        # k2 = 0: the interior point still exists, with A = k1*u
+        catalog = fixed_point_set(ModelParams(0.125, 0.125, 0.5, 0.125, 0.75, 0.0))
+        assert [fp.label for fp in catalog] == ["lambda_1", "lambda_11"]
+        assert np.all(catalog[1].point > 0.0)
+        assert catalog[1].residual <= RESIDUAL_TOL
+
+    def test_b0_lists_maximal_faces_by_support(self):
+        # b = alpha = 0 and k2 = 0: the edge x = y = 0 carries no flow
+        catalog = fixed_point_set(ModelParams(0.0, 0.0, 0.25, 0.25, 0.25, 0.0))
+        uv = catalog[-1]
+        assert uv.label == "face_uv"
+        assert uv.family == "x = y = 0; u in [0, 1], v = 1 - u"
+        assert all(m[0] == m[2] == 0.0 for m in uv.representatives)
+
+    def test_named_faces_keep_their_descriptions(self):
+        catalog = fixed_point_set(ModelParams(0.0, 0.0, 0.0, 0.0, 0.5, 0.5))
+        families = {fp.label: fp.family for fp in catalog if fp.point is None}
+        assert families == {
+            "Lambda_5": "u = v = 0; x in [0, 1], y = 1 - x",
+            "Lambda_7": "x = 0; u, y, v >= 0 with u + y + v = 1",
+            "S3": "the whole simplex (identity dynamics)",
+            "Lambda_6": "u = 0; x, y, v >= 0 with x + y + v = 1",
+            "Lambda_8": "x = u = 0; y in [0, 1], v = 1 - y",
+        }
+
+    def test_underflowing_lambda10_closed_form(self):
+        # beta1*k1*(b + alpha) underflows to 0 in lambda_10's closed form
+        catalog = fixed_point_set(ModelParams(1e-200, 1e-200, 1.0, 0.0, 1e-160, 0.0))
+        assert [fp.label for fp in catalog] == ["lambda_1", "lambda_10"]
+        assert np.allclose(catalog[1].point, [2e-40, 0.5, 0.5, 0.0], rtol=1e-12, atol=0.0)
+
+    def test_lambda1_classified_once_per_catalog_request(self, monkeypatch):
+        # the catalog's lambda_1 row and the request's own closed-form call
+        calls = []
+        spectrum = stability.lambda1_spectrum
+        monkeypatch.setattr(stability, "lambda1_spectrum",
+                            lambda p: calls.append(p) or spectrum(p))
+        p = ModelParams(*WORKED.as_tuple())
+        assert fixed_point_set(p)[0].stability == stability.classify_lambda1(p).classification
+        assert len(calls) == 1
+
+
+class TestCompleteness:
+    def test_every_fixed_grid_point_lies_in_a_listed_entry(self):
+        # every admissible dyadic rate tuple; a resolution-8 grid point with
+        # residual <= RESIDUAL_TOL must be a listed point or on a listed face
+        values = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
+        rates = np.array([t for t in itertools.product(values, repeat=6)
+                          if validate_params(ModelParams(*t)).ok])
+        assert len(rates) == 27_630
+        grid = barycentric_grid(8)
+        fixed = np.empty((len(rates), len(grid)), dtype=bool)
+        for j, q in enumerate(grid.tolist()):
+            image = np.array(_step(*q, *rates.T))
+            fixed[:, j] = np.max(np.abs(image - np.array(q)[:, None]), axis=0) <= RESIDUAL_TOL
+        uncovered = []
+        for t, row in zip(rates.tolist(), fixed):
+            found = grid[row]
+            covered = np.zeros(len(found), dtype=bool)
+            for fp in fixed_point_set(ModelParams(*t)):
+                if fp.point is None:
+                    off = ~np.any(np.array(fp.representatives) > 0.0, axis=0)
+                    covered |= np.all(found[:, off] == 0.0, axis=1)
+                else:
+                    covered |= np.max(np.abs(found - fp.point), axis=1) <= 1e-9
+            if not covered.all():
+                uncovered.append((t, found[~covered][0].tolist()))
+        assert uncovered == [], (len(uncovered), uncovered[:3])
 
 
 class TestListedExactlyWhereFixed:

@@ -7,7 +7,8 @@ error.  Every report echoes the parsed configuration in canonical form,
 so identical configuration and seed produce byte-identical output.
 
 Exit codes: 0 ok, 1 negative domain result (inadmissible rates, failed
-identity, counterexample found), 2 malformed input, 3 non-convergence.
+identity, counterexample found), 2 malformed input or an ``--out`` path that
+cannot be written, 3 non-convergence, 141 the reader of stdout left early.
 
 Figure presets 1-4 are trajectory runs converging to the cataloged limits;
 presets 5 and 6 emit the equilibrium balance curves (CSV columns x,f,g)
@@ -51,6 +52,7 @@ from sisi.dynamics import (
 )
 
 OK, DOMAIN_NEGATIVE, BAD_INPUT, NO_CONVERGENCE = 0, 1, 2, 3
+BROKEN_PIPE = 128 + 13  # what a shell reports for a command ended by SIGPIPE
 
 _PARAM_KEYS = ("b", "alpha", "beta1", "beta2", "k1", "k2")
 
@@ -168,7 +170,8 @@ def _resolve(args) -> RunConfig:
     """Config file, then --params, then flags; then one check of the keys.
 
     A key the subcommand does not read is an error, and so is a rate or
-    ``init`` beside ``--figure``, whose preset fixes both.
+    ``init`` beside ``--figure``, whose preset fixes both, and an ``--out``
+    path that cannot be opened for writing.
     """
     opts = vars(args)
     reads = _READS[args.command]
@@ -194,7 +197,23 @@ def _resolve(args) -> RunConfig:
             cfg.init = SimplexPoint(*init)
     elif any(k in values for k in _PARAM_KEYS):
         cfg.params = ModelParams(*(values.get(k, 0.0) for k in _PARAM_KEYS))
+    if cfg.out:
+        _check_writable(cfg.out)
     return cfg
+
+
+def _check_writable(path: str) -> None:
+    """Raise ConfigError unless ``path`` opens for writing; the file is
+    left as it was, and is not made until the report is written."""
+    import os
+
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -428,13 +447,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
     except InadmissibleParams as exc:
         print(f"error: inadmissible rates: {exc}", file=sys.stderr)
         return BAD_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except BrokenPipeError:
+        # the reader left early (``sisi scan | head``): no traceback, and
+        # what stdout still buffers goes to /dev/null at exit
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Shared helpers: seeded random admissible rates and simplex points."""
 
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from sisi import dynamics
 from sisi.model import ModelParams, validate_params
 
 
@@ -30,3 +34,33 @@ def random_point(rng: np.random.Generator) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def no_child_left():
+    """Fail the test if it leaves a child process of this one unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=[1, 2], ids=["one-part", "two-parts"])
+def scan_parts(request, monkeypatch, no_child_left) -> SimpleNamespace:
+    """Scans forced onto one process or split over two, down to one row of
+    work, by patching the CPU count this process sees; yields the number of
+    parts and the pids of the children forked since."""
+    cpus = set(range(request.param))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(dynamics, "_SPLIT_KERNEL_MIN", 1)
+    monkeypatch.setattr(dynamics, "_SPLIT_WRITER_MIN", 1)
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield SimpleNamespace(n=request.param, forked=forked)

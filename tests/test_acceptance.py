@@ -227,6 +227,15 @@ def test_criterion_9_conjecture_scans():
               f"counterexamples={first.summary['counterexample']}")
 
 
+def test_conjecture_scans_same_bytes_in_one_and_two_parts(scan_parts):
+    for conj in (1, 2):
+        buf = io.StringIO()
+        conjecture_scan(conj, seed=9).to_jsonl(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == _SCAN_SHA256[conj]
+    # one fork for the kernel and one for the writer, per conjecture
+    assert len(scan_parts.forked) == 4 * (scan_parts.n - 1)
+
+
 @criterion(10, "Jacobian matches central differences (1e-6 step, 1e-5 tol)")
 def test_criterion_10_jacobian_fd():
     rng = np.random.default_rng(10)

@@ -3,11 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from sisi.cli import _FIGURES, main
+from sisi import cli
+from sisi.cli import _FIGURES, _READS, main
 
 FIG1_ARGS = ["--params", "b=0.6", "alpha=0.2", "beta1=0.5", "k1=1", "k2=0.3"]
 
@@ -263,6 +267,57 @@ class TestScan:
         assert main([*args, "--config", str(cfg), "--out", str(a)]) == 0
         assert main([*args, "--seed", "3", "--out", str(c)]) == 0
         assert a.read_bytes() == c.read_bytes()
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("seed=-1\n")
+        for source in (["--seed", "-1"], ["--config", str(cfg)]):
+            assert main(["scan", "--conjecture", "1", *source]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: seed must be >= 0, got -1\n"
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # the reader of stdout leaves early, as ``sisi scan | head -c 100``
+        err = tmp_path / "stderr"
+        with open(err, "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "sisi.cli", "scan", "--conjecture", "1"],
+                stdout=subprocess.PIPE, stderr=stderr,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.stdout.read(100).startswith(b'{"conjecture": 1')
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert err.read_bytes() == b""
+
+
+class TestOutPath:
+    ARGS = {"scan": ["--conjecture", "1"],
+            "conjugacy": ["--params", "b=0.2", "beta1=0.6", "k1=1"],
+            "simulate": ["--figure", "1"]}
+
+    @pytest.mark.parametrize("command", list(_READS))
+    def test_unwritable_out_fails_before_any_work(self, command, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began")
+
+        for name in ("conjecture_scan", "detect_limit", "fixed_point_set", "validate_params",
+                     "classify_lambda1", "conjugacy_map", "build_tensor", "equilibrium_curves"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "missing" / "report"
+        argv = [command, *self.ARGS.get(command, ["--figure", "1"]), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_out_is_left_alone_until_the_report(self, tmp_path):
+        out = tmp_path / "scan.jsonl"
+        assert main(["scan", "--conjecture", "1", "--inits", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert main(["scan", "--conjecture", "1", "--inits", "0", "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
 
 
 class TestInputKeys:

@@ -5,6 +5,9 @@ import io
 import itertools
 import json
 import math
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -54,6 +57,41 @@ CLAIM_GRIDS = pytest.mark.parametrize("conjecture,grid", [
     (2, GridSpec(b=(0.125, 0.25, 0.5), alpha=(0.0, 0.125, 0.25), beta1=(0.25, 0.5, 1.0),
                  beta2=(0.0, 0.25, 0.5), k1=(0.5, 0.75, 1.0), k2=(0.5, 1.0, 1.25))),
 ], ids=["small", "conj1", "conj2"])
+
+
+# sha256 of the small grid's JSONL report at conjecture 1, n_init 2, seed 5
+JSONL_PINS = pytest.mark.parametrize("options,summary,digest", [
+    ({"max_iter": 100},
+     {"match": 4, "counterexample": 0, "inconclusive": 2, "no-claim": 6,
+      "inadmissible": 12},
+     "b116c1768266d10cd15a0e31308df1688b1972f1f7f967f90578f37194e1cee0"),
+    ({"match_tol": 1e-15},
+     {"match": 0, "counterexample": 6, "inconclusive": 0, "no-claim": 6,
+      "inadmissible": 12},
+     "76f54c13f4526fcea330a726cd6622bd684c7cc853c46c448036d809b1a7a4f8"),
+], ids=["max_iter=100", "match_tol=1e-15"])
+
+
+def non_finite_report() -> ScanReport:
+    """A hand-built report with NaN, infinities and -0.0 in every float column,
+    and a row of 0 iterations."""
+    nan, inf = math.nan, math.inf
+    return ScanReport(
+        conjecture=2, seed=1, grid=SMALL_GRID,
+        inits=np.array([[0.25, 0.25, 0.25, 0.25], [1.0, -0.0, 0.0, 0.0]]),
+        cells=np.array([[0.1, 0.2, 0.5, 0.0, 1.0, 0.3], [inf, -0.0, nan, 0.5, 1e-300, 2.0]]),
+        verdict=np.array([["match", "inconclusive"], ["inadmissible", "counterexample"]],
+                         dtype=object),
+        target=np.array([["lambda_1", None], [None, "lambda_11"]], dtype=object),
+        distance=np.array([[-0.0, inf], [nan, -inf]]),
+        iterations=np.array([[16, 20_000], [0, 5]]),
+        final_step=np.array([[inf, -inf], [nan, -0.0]]),
+        limit=np.array([[[1.0, -0.0, nan, 5e-324], [inf, -inf, 0.1, 1 / 3]],
+                        [[nan, nan, nan, nan], [-0.0, inf, nan, 2.0]]]),
+        summary={"match": 1, "inconclusive": 1, "inadmissible": 1, "counterexample": 1,
+                 "no-claim": 0},
+        max_iter=20_000, tol_step=1e-11, match_tol=1e-4,
+    )
 
 
 def jsonl_by_json_dumps(report) -> list[str]:
@@ -816,16 +854,7 @@ class TestConjectureScan:
         with pytest.raises(ValueError, match="n_init must be >= 1"):
             conjecture_scan(1, grid=default_grid(1), n_init=0)
 
-    @pytest.mark.parametrize("options,summary,digest", [
-        ({"max_iter": 100},
-         {"match": 4, "counterexample": 0, "inconclusive": 2, "no-claim": 6,
-          "inadmissible": 12},
-         "b116c1768266d10cd15a0e31308df1688b1972f1f7f967f90578f37194e1cee0"),
-        ({"match_tol": 1e-15},
-         {"match": 0, "counterexample": 6, "inconclusive": 0, "no-claim": 6,
-          "inadmissible": 12},
-         "76f54c13f4526fcea330a726cd6622bd684c7cc853c46c448036d809b1a7a4f8"),
-    ], ids=["max_iter=100", "match_tol=1e-15"])
+    @JSONL_PINS
     def test_jsonl_bytes_pinned(self, options, summary, digest):
         # every verdict on one small grid, serialized byte for byte
         grid = GridSpec(
@@ -850,23 +879,7 @@ class TestConjectureScan:
 
     def test_jsonl_non_finite_and_signed_zero(self):
         # the scans never write these; json spells them NaN, Infinity, -Infinity
-        nan, inf = math.nan, math.inf
-        report = ScanReport(
-            conjecture=2, seed=1, grid=SMALL_GRID,
-            inits=np.array([[0.25, 0.25, 0.25, 0.25], [1.0, -0.0, 0.0, 0.0]]),
-            cells=np.array([[0.1, 0.2, 0.5, 0.0, 1.0, 0.3], [inf, -0.0, nan, 0.5, 1e-300, 2.0]]),
-            verdict=np.array([["match", "inconclusive"], ["inadmissible", "counterexample"]],
-                             dtype=object),
-            target=np.array([["lambda_1", None], [None, "lambda_11"]], dtype=object),
-            distance=np.array([[-0.0, inf], [nan, -inf]]),
-            iterations=np.array([[16, 20_000], [0, 5]]),
-            final_step=np.array([[inf, -inf], [nan, -0.0]]),
-            limit=np.array([[[1.0, -0.0, nan, 5e-324], [inf, -inf, 0.1, 1 / 3]],
-                            [[nan, nan, nan, nan], [-0.0, inf, nan, 2.0]]]),
-            summary={"match": 1, "inconclusive": 1, "inadmissible": 1, "counterexample": 1,
-                     "no-claim": 0},
-            max_iter=20_000, tol_step=1e-11, match_tol=1e-4,
-        )
+        report = non_finite_report()
         buf = io.StringIO()
         report.to_jsonl(buf)
         lines = buf.getvalue().splitlines()
@@ -924,6 +937,90 @@ class TestConjectureScan:
         for ref in ((0.6, 0.1, 0.5, 0.01, 1.2, 1.1), (0.1, 0.01, 0.8, 0.2, 0.5, 1.2)):
             assert np.any(np.all(cells == np.array(ref), axis=1))
         assert g1.n_cells == 5 ** 6 and g2.n_cells == 5 ** 6
+
+
+class TestScanParts:
+    """A scan's kernel and writer in one process or split with a forked
+    child: the same bytes, errors raised here, and no child left."""
+
+    @JSONL_PINS
+    @pytest.mark.parametrize("block", [4096, 5])
+    def test_small_grid_bytes(self, options, summary, digest, block, scan_parts, monkeypatch):
+        monkeypatch.setattr(dynamics, "_JSONL_BLOCK", block)
+        report = conjecture_scan(1, grid=SMALL_GRID, n_init=2, seed=5, **options)
+        assert report.summary == summary
+        buf = io.StringIO()
+        report.to_jsonl(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+        # one fork for the kernel, one for the writer
+        assert len(scan_parts.forked) == 2 * (scan_parts.n - 1)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_non_finite_report_bytes(self, block, scan_parts, monkeypatch):
+        monkeypatch.setattr(dynamics, "_JSONL_BLOCK", block)
+        report = non_finite_report()
+        buf = io.StringIO()
+        report.to_jsonl(buf)
+        assert buf.getvalue().splitlines() == jsonl_by_json_dumps(report)
+        assert len(scan_parts.forked) == scan_parts.n - 1
+
+    def test_split_follows_cpus_fork_threads_and_size(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert dynamics._n_parts(100, 100) == 2
+        assert dynamics._n_parts(99, 100) == 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert dynamics._n_parts(100, 100) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert dynamics._n_parts(100, 100) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert dynamics._n_parts(100, 100) == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        assert dynamics._n_parts(100, 100) == 1
+
+    def test_items_arrive_in_part_order(self, no_child_left):
+        got = []
+        dynamics._in_parts(lambda n: range(n), [2, 3, 1], got.append)
+        assert got == [0, 1, 0, 1, 2, 0]
+
+    def test_child_exception_is_raised_here(self, no_child_left):
+        got = []
+        with pytest.raises(ZeroDivisionError):
+            dynamics._in_parts(lambda x: [1 / x], [1, 0], got.append)
+        assert got == [1.0]
+
+    def test_child_without_result(self, no_child_left):
+        with pytest.raises(ChildProcessError, match="ended without its result"):
+            dynamics._in_parts(lambda x: [os._exit(3) if x else x], [0, 1], [].append)
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, BrokenPipeError])
+    def test_error_here_kills_the_child(self, error, no_child_left):
+        def fail(item):
+            raise error
+
+        t0 = time.perf_counter()
+        with pytest.raises(error):
+            dynamics._in_parts(lambda seconds: [time.sleep(seconds)], [0, 60], fail)
+        assert time.perf_counter() - t0 < 30
+
+    def test_writer_stops_on_a_closed_pipe(self, scan_parts, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise BrokenPipeError
+                return super().write(text)
+
+        monkeypatch.setattr(dynamics, "_JSONL_BLOCK", 5)
+        report = conjecture_scan(1, grid=SMALL_GRID, n_init=2, seed=5, max_iter=100)
+        with pytest.raises(BrokenPipeError):
+            report.to_jsonl(Closed())
 
 
 class TestRegimeLemmas:

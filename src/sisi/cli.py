@@ -204,11 +204,15 @@ def _resolve(args) -> RunConfig:
 
 def _check_writable(path: str) -> None:
     """Raise ConfigError unless ``path`` opens for writing; the file is
-    left as it was, and is not made until the report is written."""
+    left as it was, and is not made until the report is written.  A named
+    pipe is not opened: closing it would end the stream for its reader."""
     import os
+    import stat
 
     existed = os.path.lexists(path)
     try:
+        if existed and stat.S_ISFIFO(os.stat(path).st_mode):
+            return
         open(path, "a").close()
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -310,6 +311,25 @@ class TestOutPath:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_out_gets_the_whole_report(self, tmp_path):
+        # the check must not open and close the pipe, which would end the
+        # stream for its reader before the report is written
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        proc = subprocess.run(
+            [sys.executable, "-m", "sisi.cli", "scan", "--conjecture", "1", "--inits", "1",
+             "--out", str(fifo)],
+            capture_output=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert proc.returncode == 0
+        assert got[0].count(b"\n") == 1 + 5 ** 6
 
     def test_out_is_left_alone_until_the_report(self, tmp_path):
         out = tmp_path / "scan.jsonl"

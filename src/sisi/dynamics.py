@@ -838,7 +838,7 @@ class ScanReport:
             "summary": self.summary,
         }
         params = _json_rows(self.cells)
-        points = [json.dumps(row) for row in self.inits.tolist()]
+        points = _json_rows(self.inits)
         verdict, target = self.verdict.ravel(), self.target.ravel()
         labels = {v: json.dumps(v) for v in {*verdict.tolist(), *target.tolist()}}
         distance, final_step = self.distance.ravel(), self.final_step.ravel()

@@ -24,14 +24,12 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from sisi.model import (
     InadmissibleParams,
     ModelParams,
     NegativeParameter,
     SimplexPoint,
-    Trajectory,
+    iterate,
     validate_params,
 )
 from sisi.tensor import build_tensor, tensor_rows
@@ -278,11 +276,10 @@ def cmd_simulate(args) -> int:
     if cfg.init is None:
         raise ConfigError("no initial point given; use --init or --figure")
     pred = predicted_limit(cfg.init, p)
-    states: list[tuple[float, ...]] = []
     report = detect_limit(cfg.init, p, max_iter=cfg.max_iter,
                           tol_step=cfg.tol_step, tol_fix=cfg.tol_fix,
-                          predicted=pred, visited=states)
-    traj = Trajectory(np.array(states), p)
+                          predicted=pred)
+    traj = iterate(cfg.init, p, report.iterations)
     lines = [f"# config: {cfg.echo()}", "n,x,u,y,v"]
     for n, row in enumerate(traj.states):
         lines.append(f"{n}," + ",".join(_fmt(c) for c in row))

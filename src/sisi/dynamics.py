@@ -40,6 +40,7 @@ from sisi.model import (
     SimplexPoint,
     _CONDITIONS,
     _rate_ok,
+    _require_count,
     _step,
     require_admissible,
 )
@@ -147,10 +148,9 @@ class LimitReport:
 
 
 def _require_budget(max_iter: int, **tolerances: float) -> None:
-    """Raise ValueError unless max_iter >= 1 and every tolerance is finite
-    and >= 0 (NaN is not)."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    """Raise ValueError unless max_iter is an integer >= 1 and every
+    tolerance is finite and >= 0 (NaN is not)."""
+    _require_count("max_iter", max_iter, 1)
     for tol in tolerances.values():
         if not 0.0 <= tol < math.inf:
             raise ValueError("tolerances must be >= 0 and finite: "
@@ -177,7 +177,6 @@ def detect_limit(
     predicted: PredictedLimit | None = None,
     match_tol: float = LIMIT_TOL,
     catalog: list[FixedPoint] | None = None,
-    visited: list | None = None,
 ) -> LimitReport:
     """Iterate until the step size drops below ``tol_step``, the state comes
     within ``tol_fix`` of a cataloged fixed point, or ``max_iter`` steps.
@@ -189,9 +188,10 @@ def detect_limit(
     Proximity is checked exactly, against every cataloged point; the check
     is skipped only on steps where a rounding-safe lower bound on the
     distance to the catalog (the last checked distance minus every step
-    since) excludes a hit, so skipping changes no result.  All three
-    tolerances must be finite and >= 0.  When ``visited`` is a list, it
-    receives ``s0`` and then every state the loop moves to, as 4-tuples.
+    since) excludes a hit, so skipping changes no result.  ``max_iter``
+    must be an integer >= 1 and all three tolerances finite and >= 0.  The
+    states the loop passes through, ``s0`` first, are
+    ``iterate(s0, p, report.iterations).states``.
 
     The step is the sup-norm of the move, taken with comparisons: every
     coordinate is finite, so it equals ``max(abs(...))`` bit for bit (an
@@ -205,55 +205,42 @@ def detect_limit(
     _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix, match_tol=match_tol)
     anchors = [(fp.label, fp.point.tolist()) for fp in catalog if fp.point is not None]
     b, al, b1, b2, k1, k2 = p.as_tuple()
+    margin = _SKIP_MARGIN
 
     x, u, y, v = s0.as_tuple()
-    if visited is not None:
-        visited.append((x, u, y, v))
-    applications = 0
+    iterations = max_iter  # unless a stop rule fires first
     converged = False
     near = (math.inf, None, None)  # the last proximity check's _nearest
     slack = 0.0  # no bound yet: check after the first step
-    while True:
+    for n in range(max_iter):  # n steps done so far
         nx, nu, ny, nv = _step(x, u, y, v, b, al, b1, b2, k1, k2)
-        step = 0.0
-        d = nx - x
-        if d < 0.0:
-            d = -d
+        # |a - c| as whichever difference is >= 0: the same bits as abs,
+        # and a zero move gives +0.0
+        step = nx - x if nx >= x else x - nx
+        d = nu - u if nu >= u else u - nu
         if d > step:
             step = d
-        d = nu - u
-        if d < 0.0:
-            d = -d
+        d = ny - y if ny >= y else y - ny
         if d > step:
             step = d
-        d = ny - y
-        if d < 0.0:
-            d = -d
-        if d > step:
-            step = d
-        d = nv - v
-        if d < 0.0:
-            d = -d
+        d = nv - v if nv >= v else v - nv
         if d > step:
             step = d
         if step <= tol_step:
             converged = True  # (x, u, y, v) is (numerically) fixed; do not advance
+            iterations = n
             break
-        applications += 1
         x, u, y, v = nx, nu, ny, nv
-        if visited is not None:
-            visited.append((x, u, y, v))
         # The sup-norm distance to any anchor falls by at most one step per
         # step, so the check cannot fire while slack > 0.
-        slack -= step + _SKIP_MARGIN
+        slack -= step + margin
         if not slack > 0.0:
             near = _nearest(x, u, y, v, anchors)
             if near[0] <= tol_fix:
                 converged = True
+                iterations = n + 1
                 break
-            slack = near[0] - tol_fix - _SKIP_MARGIN
-        if applications >= max_iter:
-            break
+            slack = near[0] - tol_fix - margin
 
     limit = snapped = None
     if converged:
@@ -272,7 +259,7 @@ def detect_limit(
     return LimitReport(
         converged=converged,
         limit=limit,
-        iterations=applications,
+        iterations=iterations,
         final_step=step,
         snapped=snapped,
         predicted=predicted,
@@ -601,8 +588,8 @@ def verify_proposition(
     it is at least 0.02 off that threshold, so convergence stays geometric.
     Each kept trial checks that :func:`predicted_limit` names the rule,
     runs :func:`detect_limit`, and compares every pinned coordinate of the
-    target at tolerance ``tol``.  ``trials`` must be >= 1, ``max_iter`` >= 1
-    and both tolerances finite and >= 0.  The seed is recorded in the
+    target at tolerance ``tol``.  ``trials`` must be >= 1, ``max_iter`` an
+    integer >= 1 and both tolerances finite and >= 0.  The seed is recorded in the
     report for reproducibility.
     """
     index = _SUITES.get(regime)
@@ -739,22 +726,35 @@ def _in_parts(fn, parts, sink) -> None:
     waits on this process, then sends them pickled through a pipe, or sends
     the exception it raised, which is raised here; it always leaves by
     ``os._exit``.  Every child is killed, if still running, and reaped
-    before this returns or raises.
+    before this returns or raises.  A child also leaves as soon as this
+    process ends, even by a signal that runs no ``finally``: this process
+    alone holds the write end of the child's lifeline pipe, and a thread
+    in the child exits when reading the other end gives EOF.
     """
     import os
     import pickle
     import signal
+    import threading
 
     children = []
     try:
         for part in parts[1:]:
             r, w = os.pipe()
+            life_r, life_w = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
                     os.close(r)
-                    for _, pipe in children:
+                    os.close(life_w)
+                    for _, pipe, lifeline in children:
                         pipe.close()
+                        os.close(lifeline)
+
+                    def leave_with_parent():
+                        os.read(life_r, 1)  # nothing is written: returns at EOF
+                        os._exit(0)
+
+                    threading.Thread(target=leave_with_parent, daemon=True).start()
                     try:
                         sent = [("item", item) for item in fn(part)] + [("end", None)]
                     except BaseException as exc:
@@ -765,10 +765,11 @@ def _in_parts(fn, parts, sink) -> None:
                 finally:
                     os._exit(0)
             os.close(w)
-            children.append((pid, open(r, "rb")))
+            os.close(life_r)
+            children.append((pid, open(r, "rb"), life_w))
         for item in fn(parts[0]):
             sink(item)
-        for pid, pipe in children:
+        for pid, pipe, _ in children:
             while True:
                 try:
                     kind, value = pickle.load(pipe)
@@ -781,8 +782,9 @@ def _in_parts(fn, parts, sink) -> None:
                     break
                 sink(value)
     finally:
-        for pid, pipe in children:
+        for pid, pipe, lifeline in children:
             pipe.close()
+            os.close(lifeline)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -978,7 +980,7 @@ def conjecture_scan(
     iterated: no-claim and inadmissible rows keep a NaN limit and final
     step and 0 iterations.  Scans are deterministic for a fixed seed;
     counterexamples are reported, never suppressed.  ``max_iter`` must be
-    >= 1, ``seed`` >= 0 and both tolerances finite and >= 0.  With two
+    an integer >= 1, ``seed`` >= 0 and both tolerances finite and >= 0.  With two
     parts (:func:`_n_parts` of the claimed rows), a forked child iterates
     every other claimed row; the report is the same to the bit.
     """

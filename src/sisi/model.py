@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,17 @@ _CONDITIONS = (
 def _rate_ok(rate):
     """True where a rate is finite and >= 0 (NaN is not); floats or arrays."""
     return (rate >= 0.0) & (rate < math.inf)
+
+
+def _require_count(name: str, value, least: int) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer
+    (one that ``operator.index`` takes, so not 2.5, NaN or inf) >= ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _check_rates(p: ModelParams) -> None:
@@ -310,16 +322,15 @@ class Trajectory:
 def iterate(s0: SimplexPoint, p: ModelParams, n: int) -> Trajectory:
     """Iterate the operator ``n`` times from ``s0`` (no renormalization).
 
-    Returns the full sequence of n+1 states starting at ``s0``.
+    Returns the full sequence of n+1 states starting at ``s0``.  ``n`` must
+    be an integer >= 0.
     """
-    if n < 0:
-        raise ValueError("step count must be >= 0")
+    _require_count("n", n, 0)
     require_admissible(p)
-    rates = p.as_tuple()
-    out = np.empty((n + 1, 4))
-    state = s0.as_tuple()
-    out[0] = state
-    for i in range(1, n + 1):
-        state = _step(*state, *rates)
-        out[i] = state
-    return Trajectory(out, p)
+    b, al, b1, b2, k1, k2 = p.as_tuple()
+    x, u, y, v = state = s0.as_tuple()
+    states = [state]
+    for _ in range(n):
+        x, u, y, v = state = _step(x, u, y, v, b, al, b1, b2, k1, k2)
+        states.append(state)
+    return Trajectory(np.array(states), p)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from sisi import cli
+from sisi import cli, dynamics
 from sisi.cli import _FIGURES, _READS, main
 
 FIG1_ARGS = ["--params", "b=0.6", "alpha=0.2", "beta1=0.5", "k1=1", "k2=0.3"]
@@ -290,6 +291,46 @@ class TestScan:
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert err.read_bytes() == b""
+
+    def test_sigterm_leaves_no_child(self, tmp_path):
+        # SIGTERM ends the scan without running its finally blocks; its
+        # forked child used to live on until its part was done
+        if dynamics._n_parts(dynamics._SPLIT_KERNEL_MIN, dynamics._SPLIT_KERNEL_MIN) == 1:
+            pytest.skip("the scan runs in one process here (one CPU, no fork or a thread)")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sisi.cli", "scan", "--conjecture", "2",
+             "--out", str(tmp_path / "scan.jsonl")],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        kids = []
+        try:
+            if not os.path.exists(children):
+                pytest.skip("needs /proc/<pid>/task/<pid>/children to find the child")
+            deadline = time.monotonic() + 60
+            while not kids and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+                with open(children) as fh:
+                    kids = [int(pid) for pid in fh.read().split()]
+            assert kids, "the scan forked no child"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == -signal.SIGTERM
+            time.sleep(0.5)
+            assert [pid for pid in kids if _running(pid)] == []
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            for pid in kids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """True while process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestOutPath:

@@ -253,9 +253,8 @@ class TestProximitySkip:
         # per step and the bound on it is tight
         p = ModelParams(0.25, 0.0, 0.0, 0.0, 1.0, 0.5)
         s0 = SimplexPoint(*start)
-        states = []
         report = assert_same_as_every_step(s0, p, tol_fix=1e-3)
-        detect_limit(s0, p, tol_fix=1e-3, visited=states)
+        states = iterate(s0, p, report.iterations).states.tolist()
         gaps = [1.0 - x for x, *_ in states]
         steps = [max(abs(a - c) for a, c in zip(nxt, cur))
                  for cur, nxt in zip(states, states[1:])]
@@ -267,15 +266,6 @@ class TestProximitySkip:
         for n, state in enumerate(states[1:], start=1):
             tol = max(abs(c - a) for c, a in zip(state, (1.0, 0.0, 0.0, 0.0)))
             assert assert_same_as_every_step(s0, p, tol_fix=tol).iterations == n
-
-    def test_visited_receives_every_state(self):
-        s0 = SimplexPoint(0.3, 0.2, 0.4, 0.1)
-        for max_iter in (3, 1_000_000):
-            states = []
-            report = detect_limit(s0, FIG2, max_iter=max_iter, visited=states)
-            assert len(states) == report.iterations + 1
-            assert np.array_equal(np.array(states),
-                                  iterate(s0, FIG2, report.iterations).states)
 
 
 class TestStepLoop:
@@ -312,8 +302,8 @@ class TestStepLoop:
         # the step rule is step <= tol_step; at a tie it must fire
         s0 = SimplexPoint(0.3, 0.2, 0.4, 0.1)
         for p in self.RATES:
-            states = []
-            detect_limit(s0, p, max_iter=40, visited=states)
+            report = detect_limit(s0, p, max_iter=40)
+            states = iterate(s0, p, report.iterations).states.tolist()
             steps = [max(abs(a - c) for a, c in zip(nxt, cur))
                      for cur, nxt in zip(states, states[1:])]
             for n, step in enumerate(steps):
@@ -388,6 +378,14 @@ class TestDetectLimit:
         s0 = SimplexPoint(1, 0, 0, 0)
         with pytest.raises(ValueError, match="tolerances must be >= 0"):
             detect_limit(s0, FIG1, predicted=predicted_limit(s0, FIG1), match_tol=match_tol)
+
+    @pytest.mark.parametrize("max_iter", [math.nan, math.inf, -math.inf, 2.5])
+    def test_non_integer_budget_raises_before_stepping(self, max_iter, monkeypatch):
+        # unchecked, NaN and inf ran with no budget (nan < 1 is false) and
+        # 2.5 reported iterations=3
+        monkeypatch.setattr(dynamics, "_step", lambda *args: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            detect_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), FIG2, max_iter=max_iter)
 
     def test_identity_regime_stops_at_zero_iterations(self):
         p = ModelParams(0.0, 0.0, 0.7, 0.4, 0.0, 0.0)  # no infectivity
@@ -609,6 +607,12 @@ class TestVerifyProposition:
         with pytest.raises(ValueError, match="trials must be >= 1|max_iter must be >= 1"
                                              "|tolerances must be >= 0"):
             verify_proposition("fixed-initial", **options)
+
+    @pytest.mark.parametrize("max_iter", [math.nan, math.inf, -math.inf, 2.5])
+    def test_non_integer_budget_raises_before_sampling(self, max_iter, monkeypatch):
+        monkeypatch.setattr(dynamics, "_sample", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            verify_proposition("fixed-initial", max_iter=max_iter)
 
     def test_draws_cap_raises(self, monkeypatch):
         # the rarest rule keeps about 1 draw in 1,000: one batch is too few
@@ -836,6 +840,14 @@ class TestConjectureScan:
                         k1=(1.0,), k2=(0.3,))
         with pytest.raises(ValueError, match="max_iter must be >= 1|tolerances must be >= 0"):
             conjecture_scan(1, grid=grid, n_init=2, seed=5, **options)
+
+    @pytest.mark.parametrize("max_iter", [math.nan, math.inf, -math.inf, 2.5])
+    def test_non_integer_budget_raises_before_the_rule_table(self, max_iter, monkeypatch):
+        # unchecked, 2.5 died with a TypeError in the step kernel after the
+        # rule table was built, and inf scanned with no budget
+        monkeypatch.setattr(dynamics, "_apply_rules", lambda *args: pytest.fail("ruled"))
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            conjecture_scan(1, grid=SMALL_GRID, n_init=2, seed=5, max_iter=max_iter)
 
     def test_determinism_same_seed(self):
         grid = GridSpec(

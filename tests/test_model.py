@@ -260,6 +260,12 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(SimplexPoint(1, 0, 0, 0), FIG1, -1)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    def test_rejects_non_integer_step_count(self, n):
+        # unchecked, each failed with a TypeError from numpy
+        with pytest.raises(ValueError, match="n must be an integer"):
+            iterate(SimplexPoint(1, 0, 0, 0), FIG1, n)
+
     def test_vectorized_path_matches_scalar_path(self, rng):
         # conjecture scans run _step on arrays; it must agree bitwise
         from sisi.model import _step

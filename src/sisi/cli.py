@@ -281,7 +281,7 @@ def cmd_simulate(args) -> int:
                           predicted=pred)
     traj = iterate(cfg.init, p, report.iterations)
     lines = [f"# config: {cfg.echo()}", "n,x,u,y,v"]
-    for n, row in enumerate(traj.states):
+    for n, row in enumerate(traj.states.tolist()):
         lines.append(f"{n}," + ",".join(_fmt(c) for c in row))
     if report.converged:
         lines.append("# converged: true")

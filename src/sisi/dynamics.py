@@ -147,14 +147,15 @@ class LimitReport:
     deviation: float | None = None
 
 
-def _require_budget(max_iter: int, **tolerances: float) -> None:
-    """Raise ValueError unless max_iter is an integer >= 1 and every
-    tolerance is finite and >= 0 (NaN is not)."""
-    _require_count("max_iter", max_iter, 1)
+def _require_budget(max_iter: int, **tolerances: float) -> int:
+    """``max_iter`` as an int; raise ValueError unless it is an integer >= 1
+    and every tolerance is finite and >= 0 (NaN is not)."""
+    max_iter = _require_count("max_iter", max_iter, 1)
     for tol in tolerances.values():
         if not 0.0 <= tol < math.inf:
             raise ValueError("tolerances must be >= 0 and finite: "
                              + ", ".join(f"{k}={v!r}" for k, v in tolerances.items()))
+    return max_iter
 
 
 def _nearest(x, u, y, v, anchors):
@@ -202,7 +203,8 @@ def detect_limit(
         catalog = fixed_point_set(p)
     else:
         require_admissible(p)
-    _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix, match_tol=match_tol)
+    max_iter = _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix,
+                               match_tol=match_tol)
     anchors = [(fp.label, fp.point.tolist()) for fp in catalog if fp.point is not None]
     b, al, b1, b2, k1, k2 = p.as_tuple()
     margin = _SKIP_MARGIN
@@ -214,8 +216,8 @@ def detect_limit(
     slack = 0.0  # no bound yet: check after the first step
     for n in range(max_iter):  # n steps done so far
         nx, nu, ny, nv = _step(x, u, y, v, b, al, b1, b2, k1, k2)
-        # |a - c| as whichever difference is >= 0: the same bits as abs,
-        # and a zero move gives +0.0
+        # each |new - old| as the difference taken in the order that makes
+        # it >= 0: the bits of abs(), and +0.0 for no move
         step = nx - x if nx >= x else x - nx
         d = nu - u if nu >= u else u - nu
         if d > step:
@@ -589,8 +591,8 @@ def verify_proposition(
     Each kept trial checks that :func:`predicted_limit` names the rule,
     runs :func:`detect_limit`, and compares every pinned coordinate of the
     target at tolerance ``tol``.  ``trials`` must be >= 1, ``max_iter`` an
-    integer >= 1 and both tolerances finite and >= 0.  The seed is recorded in the
-    report for reproducibility.
+    integer >= 1 and both tolerances finite and >= 0.  The seed is recorded
+    in the report for reproducibility.
     """
     index = _SUITES.get(regime)
     if index is None:
@@ -992,7 +994,7 @@ def conjecture_scan(
         raise ValueError("n_init must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    _require_budget(max_iter, tol_step=tol_step, match_tol=match_tol)
+    max_iter = _require_budget(max_iter, tol_step=tol_step, match_tol=match_tol)
     cells = grid.cells()
     n_cells = cells.shape[0]
     rng = np.random.default_rng(seed)

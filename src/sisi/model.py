@@ -147,15 +147,17 @@ def _rate_ok(rate):
     return (rate >= 0.0) & (rate < math.inf)
 
 
-def _require_count(name: str, value, least: int) -> None:
-    """Raise ValueError, naming ``name``, unless ``value`` is an integer
-    (one that ``operator.index`` takes, so not 2.5, NaN or inf) >= ``least``."""
+def _require_count(name: str, value, least: int) -> int:
+    """``value`` as an int; raise ValueError, naming ``name``, unless it is
+    an integer (one that ``operator.index`` takes, so not 2.5, NaN or inf)
+    >= ``least``."""
     try:
-        operator.index(value)
+        count = int(operator.index(value))
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
+    if count < least:
         raise ValueError(f"{name} must be >= {least}")
+    return count
 
 
 def _check_rates(p: ModelParams) -> None:

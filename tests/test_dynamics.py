@@ -387,6 +387,12 @@ class TestDetectLimit:
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             detect_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), FIG2, max_iter=max_iter)
 
+    @pytest.mark.parametrize("max_iter", [np.int64(3), True], ids=["int64", "bool"])
+    def test_integer_budget_reports_a_plain_int(self, max_iter):
+        report = detect_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), FIG2, max_iter=max_iter)
+        assert not report.converged
+        assert type(report.iterations) is int and report.iterations == max_iter
+
     def test_identity_regime_stops_at_zero_iterations(self):
         p = ModelParams(0.0, 0.0, 0.7, 0.4, 0.0, 0.0)  # no infectivity
         report = detect_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), p)
@@ -848,6 +854,14 @@ class TestConjectureScan:
         monkeypatch.setattr(dynamics, "_apply_rules", lambda *args: pytest.fail("ruled"))
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             conjecture_scan(1, grid=SMALL_GRID, n_init=2, seed=5, max_iter=max_iter)
+
+    def test_numpy_integer_budget_writes_jsonl(self):
+        # unchecked, the header's max_iter stayed an np.int64, which json
+        # cannot write
+        report = conjecture_scan(1, grid=SMALL_GRID, n_init=2, seed=5, max_iter=np.int64(50))
+        buf = io.StringIO()
+        report.to_jsonl(buf)
+        assert json.loads(buf.getvalue().splitlines()[0])["max_iter"] == 50
 
     def test_determinism_same_seed(self):
         grid = GridSpec(

@@ -982,9 +982,9 @@ def conjecture_scan(
     iterated: no-claim and inadmissible rows keep a NaN limit and final
     step and 0 iterations.  Scans are deterministic for a fixed seed;
     counterexamples are reported, never suppressed.  ``max_iter`` must be
-    an integer >= 1, ``seed`` >= 0 and both tolerances finite and >= 0.  With two
-    parts (:func:`_n_parts` of the claimed rows), a forked child iterates
-    every other claimed row; the report is the same to the bit.
+    an integer >= 1, ``seed`` >= 0 and both tolerances finite and >= 0.
+    With two parts (:func:`_n_parts` of the claimed rows), a forked child
+    iterates every other claimed row; the report is the same to the bit.
     """
     if grid is None:
         grid = default_grid(conjecture)

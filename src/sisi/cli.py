@@ -7,8 +7,9 @@ error.  Every report echoes the parsed configuration in canonical form,
 so identical configuration and seed produce byte-identical output.
 
 Exit codes: 0 ok, 1 negative domain result (inadmissible rates, failed
-identity, counterexample found), 2 malformed input or an ``--out`` path that
-cannot be written, 3 non-convergence, 141 the reader of stdout left early.
+identity, counterexample found), 2 malformed input, a ``--config`` file that
+cannot be read or an ``--out`` path that cannot be written, 3
+non-convergence, 141 the reader of stdout left early.
 
 Figure presets 1-4 are trajectory runs converging to the cataloged limits;
 presets 5 and 6 emit the equilibrium balance curves (CSV columns x,f,g)
@@ -21,10 +22,13 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
 from sisi.model import (
+    _FIELDS as _PARAM_KEYS,
     InadmissibleParams,
     ModelParams,
     NegativeParameter,
@@ -51,8 +55,6 @@ from sisi.dynamics import (
 
 OK, DOMAIN_NEGATIVE, BAD_INPUT, NO_CONVERGENCE = 0, 1, 2, 3
 BROKEN_PIPE = 128 + 13  # what a shell reports for a command ended by SIGPIPE
-
-_PARAM_KEYS = ("b", "alpha", "beta1", "beta2", "k1", "k2")
 
 # (rates, initial point or None, kind) per figure preset
 _FIGURES: dict[int, tuple[tuple[float, ...], tuple[float, ...] | None, str]] = {
@@ -116,8 +118,11 @@ def _parse_pairs(tokens) -> dict[str, str]:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.split("#", 1)[0].strip() for line in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.split("#", 1)[0].strip() for line in fh]
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     return _parse_pairs(line for line in lines if line)
 
 
@@ -152,7 +157,8 @@ _FLAGS = {
 
 # What each subcommand reads besides --config and --out: these flags, and
 # those of these keys that are in _PAIRS from a config file or --params,
-# where "params" stands for the six rates.  Any other key is an error.
+# where "params" stands for the six rates, which are then required.  Any
+# other key is an error.
 _READS = {
     "validate": ("params", "figure"),
     "simulate": ("params", "figure", "init", "max_iter", "tol_step", "tol_fix"),
@@ -168,15 +174,17 @@ def _resolve(args) -> RunConfig:
     """Config file, then --params, then flags; then one check of the keys.
 
     A key the subcommand does not read is an error, and so is a rate or
-    ``init`` beside ``--figure``, whose preset fixes both, and an ``--out``
-    path that cannot be opened for writing.
+    ``init`` beside ``--figure``, whose preset fixes both, an ``--out``
+    path that cannot be opened for writing and, for a subcommand that
+    reads the rates, no rates.
     """
     opts = vars(args)
     reads = _READS[args.command]
+    needs_rates = "params" in reads
     pairs = _read_config_file(args.config) if args.config else {}
     pairs.update(_parse_pairs(opts.get("params") or ()))
     pairs.update((k, v) for k, v in opts.items() if k in _PAIRS and v is not None)
-    readable = (*_PARAM_KEYS, *reads) if "params" in reads else reads
+    readable = (*_PARAM_KEYS, *reads) if needs_rates else reads
     unread = [k for k in pairs if k not in _PAIRS or k not in readable]
     if unread:
         raise ConfigError(f"{args.command} does not read key(s): {', '.join(unread)}")
@@ -197,6 +205,8 @@ def _resolve(args) -> RunConfig:
         cfg.params = ModelParams(*(values.get(k, 0.0) for k in _PARAM_KEYS))
     if cfg.out:
         _check_writable(cfg.out)
+    if needs_rates and cfg.params is None:
+        raise ConfigError("no rates given; use --params or --figure")
     return cfg
 
 
@@ -204,9 +214,6 @@ def _check_writable(path: str) -> None:
     """Raise ConfigError unless ``path`` opens for writing; the file is
     left as it was, and is not made until the report is written.  A named
     pipe is not opened: closing it would end the stream for its reader."""
-    import os
-    import stat
-
     existed = os.path.lexists(path)
     try:
         if existed and stat.S_ISFIFO(os.stat(path).st_mode):
@@ -218,60 +225,56 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: RunConfig, report) -> None:
+    """Write ``report``, the text or a function that writes it to a file,
+    to ``--out`` or stdout."""
+    write = report if callable(report) else lambda fh: fh.write(report)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
-def _require_params(cfg: RunConfig) -> ModelParams:
-    if cfg.params is None:
-        raise ConfigError("no rates given; use --params or --figure")
-    return cfg.params
+def _text(cfg: RunConfig, lines) -> str:
+    """The echoed configuration, then ``lines``, one line each."""
+    return "\n".join([f"# config: {cfg.echo()}", *lines]) + "\n"
 
 
-def cmd_validate(args) -> int:
-    cfg = _resolve(args)
-    p = _require_params(cfg)
-    lines = [f"# config: {cfg.echo()}"]
+def cmd_validate(cfg: RunConfig, args) -> int:
     try:
-        report = validate_params(p)
+        report = validate_params(cfg.params)
     except NegativeParameter as exc:
-        lines.append(f"malformed: {exc}")
-        _emit(cfg, "\n".join(lines) + "\n")
-        return BAD_INPUT
-    if report.ok:
-        lines.append("admissible: the operator maps the simplex into itself")
-        _emit(cfg, "\n".join(lines) + "\n")
-        return OK
-    lines.append("inadmissible:")
-    lines += [f"  {v}" for v in report.violations]
-    _emit(cfg, "\n".join(lines) + "\n")
-    return DOMAIN_NEGATIVE
+        code, lines = BAD_INPUT, [f"malformed: {exc}"]
+    else:
+        if report.ok:
+            code, lines = OK, ["admissible: the operator maps the simplex into itself"]
+        else:
+            code, lines = DOMAIN_NEGATIVE, ["inadmissible:",
+                                            *(f"  {v}" for v in report.violations)]
+    _emit(cfg, _text(cfg, lines))
+    return code
 
 
-def _curves_csv(cfg: RunConfig, p: ModelParams) -> str:
+def _curves(p: ModelParams) -> list[str]:
     cur = equilibrium_curves(p)
-    lines = [f"# config: {cfg.echo()}"]
-    lines.append(f"# value_at_zero: {_fmt(cur.value_at_zero)}")
-    lines.append(f"# asymptote: {_fmt(cur.asymptote)}")
-    lines.append(f"# slope_linear: {_fmt(cur.slope_linear)}")
-    lines.append(f"# slope_saturating_at_zero: {_fmt(cur.slope_saturating_at_zero)}")
-    lines.append(f"# sign_changes: {cur.sign_changes}")
-    lines.append("# crossings: " + (",".join(_fmt(c) for c in cur.crossings) or "none"))
-    lines.append("x,f,g")
-    for xv, fv, gv in zip(cur.xs, cur.linear, cur.saturating):
-        lines.append(f"{_fmt(xv)},{_fmt(fv)},{_fmt(gv)}")
-    return "\n".join(lines) + "\n"
+    return [
+        f"# value_at_zero: {_fmt(cur.value_at_zero)}",
+        f"# asymptote: {_fmt(cur.asymptote)}",
+        f"# slope_linear: {_fmt(cur.slope_linear)}",
+        f"# slope_saturating_at_zero: {_fmt(cur.slope_saturating_at_zero)}",
+        f"# sign_changes: {cur.sign_changes}",
+        "# crossings: " + (",".join(_fmt(c) for c in cur.crossings) or "none"),
+        "x,f,g",
+        *(f"{_fmt(xv)},{_fmt(fv)},{_fmt(gv)}"
+          for xv, fv, gv in zip(cur.xs, cur.linear, cur.saturating)),
+    ]
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve(args)
-    p = _require_params(cfg)
+def cmd_simulate(cfg: RunConfig, args) -> int:
+    p = cfg.params
     if cfg.kind == "curves":
-        _emit(cfg, _curves_csv(cfg, p))
+        _emit(cfg, _text(cfg, _curves(p)))
         return OK
     if cfg.init is None:
         raise ConfigError("no initial point given; use --init or --figure")
@@ -280,7 +283,7 @@ def cmd_simulate(args) -> int:
                           tol_step=cfg.tol_step, tol_fix=cfg.tol_fix,
                           predicted=pred)
     traj = iterate(cfg.init, p, report.iterations)
-    lines = [f"# config: {cfg.echo()}", "n,x,u,y,v"]
+    lines = ["n,x,u,y,v"]
     for n, row in enumerate(traj.states.tolist()):
         lines.append(f"{n}," + ",".join(_fmt(c) for c in row))
     if report.converged:
@@ -299,18 +302,15 @@ def cmd_simulate(args) -> int:
         lines.append(f"# match: {'n/a' if report.match is None else str(report.match).lower()}")
     else:
         lines.append("# predicted: none")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(cfg, _text(cfg, lines))
     return OK if report.converged else NO_CONVERGENCE
 
 
-def cmd_fixpoints(args) -> int:
-    cfg = _resolve(args)
-    p = _require_params(cfg)
-    catalog = fixed_point_set(p)
+def cmd_fixpoints(cfg: RunConfig, args) -> int:
     table = io.StringIO()  # csv quotes a family description with commas
     rows = csv.writer(table, lineterminator="\n")
     rows.writerow(["label", "x", "u", "y", "v", "residual", "stability", "family"])
-    for fp in catalog:
+    for fp in fixed_point_set(cfg.params):
         coords = [""] * 4 if fp.point is None else [_fmt(c) for c in fp.point]
         rows.writerow([fp.label, *coords, _fmt(fp.residual), fp.stability or "",
                        fp.family or ""])
@@ -323,53 +323,33 @@ def _csv_eigenvalues(cls) -> str:
                     for e in cls.eigenvalues)
 
 
-def _json_eigenvalues(cls) -> list[list[float]]:
-    return [[e.real, e.imag] for e in cls.eigenvalues]
-
-
-def cmd_classify(args) -> int:
-    cfg = _resolve(args)
-    p = _require_params(cfg)
-    closed = classify_lambda1(p)
-    generic = classify_at(LAMBDA1, p)
-    other = None if cfg.init is None else classify_at(cfg.init, p)
-    lines = [f"# config: {cfg.echo()}"]
+def cmd_classify(cfg: RunConfig, args) -> int:
+    p = cfg.params
+    # (CSV path, JSON key, point or None for lambda_1, classification)
+    rows = [("closed-form", "closed_form", None, classify_lambda1(p)),
+            ("generic", "generic", None, classify_at(LAMBDA1, p))]
+    if cfg.init is not None:
+        rows.append(("generic (outside analyzed scope)", "at_point", cfg.init.as_tuple(),
+                     classify_at(cfg.init, p)))
     if args.format == "csv":
-        lines.append("path,point,classification,eig1,eig2,eig3,eig4")
-        lines.append(f"closed-form,lambda_1,{closed.classification},{_csv_eigenvalues(closed)}")
-        lines.append(f"generic,lambda_1,{generic.classification},{_csv_eigenvalues(generic)}")
-        if other is not None:
-            pt = ";".join(_fmt(c) for c in cfg.init.as_tuple())
-            lines.append(f"generic (outside analyzed scope),{pt},{other.classification},"
-                         f"{_csv_eigenvalues(other)}")
+        lines = ["path,point,classification,eig1,eig2,eig3,eig4"]
+        lines += [f"{path},{'lambda_1' if pt is None else ';'.join(map(_fmt, pt))},"
+                  f"{cls.classification},{_csv_eigenvalues(cls)}" for path, _, pt, cls in rows]
     else:
-        payload = {
-            "closed_form": {
-                "point": "lambda_1",
-                "classification": closed.classification,
-                "eigenvalues": _json_eigenvalues(closed),
-            },
-            "generic": {
-                "point": "lambda_1",
-                "classification": generic.classification,
-                "eigenvalues": _json_eigenvalues(generic),
-            },
-        }
-        if other is not None:
-            payload["at_point"] = {
-                "point": list(cfg.init.as_tuple()),
-                "classification": other.classification,
-                "eigenvalues": _json_eigenvalues(other),
-                "note": "classification away from lambda_1 is outside the analyzed scope",
-            }
-        lines.append(json.dumps(payload, sort_keys=True))
-    _emit(cfg, "\n".join(lines) + "\n")
+        payload = {key: {"point": "lambda_1" if pt is None else list(pt),
+                         "classification": cls.classification,
+                         "eigenvalues": [[e.real, e.imag] for e in cls.eigenvalues]}
+                   for _, key, pt, cls in rows}
+        if cfg.init is not None:
+            payload["at_point"]["note"] = ("classification away from lambda_1 is outside"
+                                           " the analyzed scope")
+        lines = [json.dumps(payload, sort_keys=True)]
+    _emit(cfg, _text(cfg, lines))
     return OK
 
 
-def cmd_conjugacy(args) -> int:
-    cfg = _resolve(args)
-    p = _require_params(cfg)
+def cmd_conjugacy(cfg: RunConfig, args) -> int:
+    p = cfg.params
     _require_edge_regime(p)  # the 1-D reduction holds only there
     if p.beta1 * p.k1 <= 0.0:
         raise ConfigError("conjugacy needs beta1*k1 > 0")
@@ -377,8 +357,7 @@ def cmd_conjugacy(args) -> int:
     f = QuadraticMap1D.from_params(p)
     sup = verify_conjugacy(p, grid_size=cfg.grid, root=args.root)
     p1, p2 = classify_1d_fixed_points(p)
-    lines = [
-        f"# config: {cfg.echo()}",
+    _emit(cfg, _text(cfg, [
         f"mu={_fmt(cm.mu)}",
         f"h(x) = {_fmt(cm.slope)}*x + {_fmt(cm.intercept)}  (root choice: {cm.root_choice})",
         "f coefficients (constant, linear, quadratic): "
@@ -387,32 +366,22 @@ def cmd_conjugacy(args) -> int:
         f"fixed point {_fmt(p1.location)}: {p1.label} (f'={_fmt(p1.derivative)})",
         f"fixed point {_fmt(p2.location)}: {p2.label} (f'={_fmt(p2.derivative)})",
         f"mu in (1,3): {'yes' if cm.in_logistic_window else 'no'}",
-    ]
-    _emit(cfg, "\n".join(lines) + "\n")
+    ]))
     return OK if sup <= 1e-12 else DOMAIN_NEGATIVE
 
 
-def cmd_scan(args) -> int:
-    cfg = _resolve(args)
+def cmd_scan(cfg: RunConfig, args) -> int:
     report = conjecture_scan(args.conjecture, n_init=args.inits, seed=cfg.seed)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            report.to_jsonl(fh)
-    else:
-        report.to_jsonl(sys.stdout)
+    _emit(cfg, report.to_jsonl)
     summary = " ".join(f"{k}={v}" for k, v in sorted(report.summary.items()))
     print(f"# scan conjecture={args.conjecture} seed={cfg.seed} {summary}",
           file=sys.stderr)
     return DOMAIN_NEGATIVE if report.summary["counterexample"] else OK
 
 
-def cmd_tensor_dump(args) -> int:
-    cfg = _resolve(args)
-    p = _require_params(cfg)
-    t = build_tensor(p)
-    lines = [f"# config: {cfg.echo()}", "i,j,k,value"]
-    lines += [f"{i},{j},{k},{_fmt(v)}" for i, j, k, v in tensor_rows(t)]
-    _emit(cfg, "\n".join(lines) + "\n")
+def cmd_tensor_dump(cfg: RunConfig, args) -> int:
+    rows = tensor_rows(build_tensor(cfg.params))
+    _emit(cfg, _text(cfg, ["i,j,k,value", *(f"{i},{j},{k},{_fmt(v)}" for i, j, k, v in rows)]))
     return OK
 
 
@@ -422,22 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discrete-time SISI epidemic operator on the 3-simplex",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "validate": cmd_validate,
-        "simulate": cmd_simulate,
-        "fixpoints": cmd_fixpoints,
-        "classify": cmd_classify,
-        "conjugacy": cmd_conjugacy,
-        "scan": cmd_scan,
-        "tensor-dump": cmd_tensor_dump,
-    }
     for name, reads in _READS.items():
         sub = subs.add_parser(name)
         sub.add_argument("--config", help="key=value config file; flags override")
         sub.add_argument("--out", help="output path (default stdout)")
         for key in reads:
             sub.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
-        sub.set_defaults(fn=commands[name])
+        # looked up now, so a wrapper set on the module attribute is called
+        sub.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -448,7 +409,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
-        code = args.fn(args)
+        code = args.fn(_resolve(args), args)
         sys.stdout.flush()  # a reader that left shows here, not at exit
         return code
     except InadmissibleParams as exc:
@@ -460,8 +421,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader left early (``sisi scan | head``): no traceback, and
         # what stdout still buffers goes to /dev/null at exit
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE
 

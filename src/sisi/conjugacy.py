@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sisi.model import ModelParams, _check_rates
+from sisi.model import ModelParams, _check_rates, _require_count
 from sisi.stability import BOUNDARY_TOL
 
 __all__ = [
@@ -170,9 +170,9 @@ def verify_conjugacy(p: ModelParams, grid_size: int = 10_000,
 
     The identity is polynomial in the rates, so the returned value is pure
     round-off (<= 1e-12) whenever the implementation is correct.
+    ``grid_size`` must be an integer >= 1.
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+    grid_size = _require_count("grid_size", grid_size, 1)
     h = conjugacy_map(p, root)
     f = QuadraticMap1D.from_params(p)
     xs = np.linspace(0.0, 1.0, grid_size)

@@ -46,7 +46,6 @@ from sisi.model import (
 )
 from sisi.fixpoints import (
     DegenerateRegime,
-    FixedPoint,
     _interior_coordinates,
     _lambda9_coordinates,
     _lambda10_coordinates,
@@ -177,7 +176,6 @@ def detect_limit(
     tol_fix: float = 1e-10,
     predicted: PredictedLimit | None = None,
     match_tol: float = LIMIT_TOL,
-    catalog: list[FixedPoint] | None = None,
 ) -> LimitReport:
     """Iterate until the step size drops below ``tol_step``, the state comes
     within ``tol_fix`` of a cataloged fixed point, or ``max_iter`` steps.
@@ -198,11 +196,7 @@ def detect_limit(
     coordinate is finite, so it equals ``max(abs(...))`` bit for bit (an
     all-zero move gives 0.0, never -0.0).
     """
-    # fixed_point_set validates p; either way InadmissibleParams comes first
-    if catalog is None:
-        catalog = fixed_point_set(p)
-    else:
-        require_admissible(p)
+    catalog = fixed_point_set(p)  # validates p: InadmissibleParams comes first
     max_iter = _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix,
                                match_tol=match_tol)
     anchors = [(fp.label, fp.point.tolist()) for fp in catalog if fp.point is not None]
@@ -590,16 +584,16 @@ def verify_proposition(
     it is at least 0.02 off that threshold, so convergence stays geometric.
     Each kept trial checks that :func:`predicted_limit` names the rule,
     runs :func:`detect_limit`, and compares every pinned coordinate of the
-    target at tolerance ``tol``.  ``trials`` must be >= 1, ``max_iter`` an
-    integer >= 1 and both tolerances finite and >= 0.  The seed is recorded
-    in the report for reproducibility.
+    target at tolerance ``tol``.  ``trials`` and ``max_iter`` must be
+    integers >= 1, ``seed`` an integer >= 0 and both tolerances finite and
+    >= 0.  The seed is recorded in the report for reproducibility.
     """
     index = _SUITES.get(regime)
     if index is None:
         raise RegimeUnsatisfiable(
             f"unknown or conjectural regime {regime!r}; see list_regimes()")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _require_count("trials", trials, 1)
+    seed = _require_count("seed", seed, 0)
     _require_budget(max_iter, tol=tol, tol_step=tol_step)
     rule = _RULES[index]
     rates, starts = _sample(index, trials, np.random.default_rng(seed))
@@ -981,8 +975,9 @@ def conjecture_scan(
     for cells outside the admissible region.  Only claimed rows are
     iterated: no-claim and inadmissible rows keep a NaN limit and final
     step and 0 iterations.  Scans are deterministic for a fixed seed;
-    counterexamples are reported, never suppressed.  ``max_iter`` must be
-    an integer >= 1, ``seed`` >= 0 and both tolerances finite and >= 0.
+    counterexamples are reported, never suppressed.  ``n_init`` and
+    ``max_iter`` must be integers >= 1, ``seed`` an integer >= 0 and both
+    tolerances finite and >= 0.
     With two parts (:func:`_n_parts` of the claimed rows), a forked child
     iterates every other claimed row; the report is the same to the bit.
     """
@@ -990,10 +985,8 @@ def conjecture_scan(
         grid = default_grid(conjecture)
     if conjecture not in (1, 2):
         raise ValueError("conjecture must be 1 (boundary) or 2 (interior)")
-    if n_init < 1:
-        raise ValueError("n_init must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n_init = _require_count("n_init", n_init, 1)
+    seed = _require_count("seed", seed, 0)
     max_iter = _require_budget(max_iter, tol_step=tol_step, match_tol=match_tol)
     cells = grid.cells()
     n_cells = cells.shape[0]

@@ -28,6 +28,7 @@ from sisi.model import (
     ModelParams,
     RESIDUAL_TOL,
     _per_params,
+    _require_count,
     _step,
     require_admissible,
 )
@@ -418,10 +419,10 @@ def fixed_point_set(p: ModelParams) -> list[FixedPoint]:
 def barycentric_grid(resolution: int) -> np.ndarray:
     """All simplex points with coordinates i/resolution, i integer >= 0.
 
-    Returns an (M, 4) array; M = C(resolution + 3, 3).
+    Returns an (M, 4) array; M = C(resolution + 3, 3).  ``resolution``
+    must be an integer >= 1.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    resolution = _require_count("resolution", resolution, 1)
     pts = []
     for i, j, k in combinations_with_replacement(range(resolution + 1), 3):
         # i <= j <= k are the cumulative cut positions of a composition

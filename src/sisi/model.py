@@ -156,7 +156,7 @@ def _require_count(name: str, value, least: int) -> int:
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if count < least:
-        raise ValueError(f"{name} must be >= {least}")
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return count
 
 

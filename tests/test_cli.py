@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -167,6 +168,69 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "b=-0.1" in captured.err
+
+
+RATES5 = ["--params", "b=0.2", "alpha=0.3", "beta1=0.6", "beta2=0.4", "k1=1", "k2=1"]
+ECHO5 = ("b=0.20000000000000001 alpha=0.29999999999999999 beta1=0.59999999999999998 "
+         "beta2=0.40000000000000002 k1=1 k2=1")
+ECHO_TAIL = "seed=0 max_iter=1000000 tol_step=9.9999999999999998e-13 tol_fix=1e-10 grid=10000"
+AT_POINT_NOTE = "classification away from lambda_1 is outside the analyzed scope"
+
+
+class TestClassifyReport:
+    # every byte of a classify report but the eigenvalue digits, which
+    # depend on the LAPACK build: (CSV path, JSON key, CSV point, JSON
+    # point, classification) per row
+    LAMBDA1_SADDLE = [("closed-form", "closed_form", "lambda_1", "lambda_1", "saddle"),
+                      ("generic", "generic", "lambda_1", "lambda_1", "saddle")]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv,echo,rows", [
+        (RATES5, f"{ECHO5} {ECHO_TAIL}", LAMBDA1_SADDLE),
+        ([*RATES5, "--init", "0.3,0.2,0.1,0.4"],
+         f"{ECHO5} init=0.29999999999999999,0.20000000000000001,0.10000000000000001,"
+         f"0.40000000000000002 {ECHO_TAIL}",
+         [*LAMBDA1_SADDLE,
+          ("generic (outside analyzed scope)", "at_point",
+           "0.29999999999999999;0.20000000000000001;0.10000000000000001;0.40000000000000002",
+           [0.3, 0.2, 0.1, 0.4], "attracting")]),
+        (["--params", "b=0", "alpha=0.2", "beta1=0.5", "k1=1"],
+         f"b=0 alpha=0.20000000000000001 beta1=0.5 beta2=0 k1=1 k2=0 {ECHO_TAIL}",
+         [("closed-form", "closed_form", "lambda_1", "lambda_1", "nonhyperbolic"),
+          ("generic", "generic", "lambda_1", "lambda_1", "nonhyperbolic")]),
+        (["--figure", "2"],
+         "b=0.10000000000000001 alpha=0.20000000000000001 beta1=0.5 beta2=0 k1=1 "
+         "k2=0.29999999999999999 init=0.29999999999999999,0.20000000000000001,"
+         f"0.40000000000000002,0.10000000000000001 figure=2 {ECHO_TAIL}",
+         [*LAMBDA1_SADDLE,
+          ("generic (outside analyzed scope)", "at_point",
+           "0.29999999999999999;0.20000000000000001;0.40000000000000002;0.10000000000000001",
+           [0.3, 0.2, 0.4, 0.1], "attracting")]),
+    ], ids=["rates", "rates+init", "nonhyperbolic", "figure"])
+    def test_report_but_eigenvalue_digits_pinned(self, argv, echo, rows, fmt, capsys):
+        assert main(["classify", *argv, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n")
+        config, *body = out[:-1].split("\n")
+        assert config == f"# config: {echo}"
+        if fmt == "csv":
+            assert body[0] == "path,point,classification,eig1,eig2,eig3,eig4"
+            cells = [line.split(",") for line in body[1:]]
+            assert [len(c) for c in cells] == [7] * len(rows)
+            assert [c[:3] for c in cells] == [[path, point, cls]
+                                              for path, _, point, _, cls in rows]
+        else:
+            (line,) = body
+            payload = json.loads(line)
+            assert line == json.dumps(payload, sort_keys=True)
+            for entry in payload.values():
+                eigenvalues = entry.pop("eigenvalues")
+                assert [len(e) for e in eigenvalues] == [2] * 4
+            expected = {key: {"point": point, "classification": cls}
+                        for _, key, _, point, cls in rows}
+            if "at_point" in expected:
+                expected["at_point"]["note"] = AT_POINT_NOTE
+            assert payload == expected
 
 
 class TestConjugacy:
@@ -423,6 +487,21 @@ class TestInputKeys:
         assert named in captured.err
 
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["validate", "scan"])
+    def test_unreadable_config_is_bad_input(self, command, kind, tmp_path, capsys):
+        # unread, the OSError ended in a traceback and exit 1
+        path = tmp_path / "no.cfg" if kind == "missing" else tmp_path
+        reason = os.strerror(errno.ENOENT if kind == "missing" else errno.EISDIR)
+        argv = [command, "--config", str(path)]
+        if command == "scan":
+            argv += ["--conjecture", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {path}: {reason}\n"
+
+
 class TestReportBytes:
     # stdout sha256 and exit code of reports whose digits do not depend on
     # the LAPACK build (classify's generic rows do, so it is left out)
@@ -471,6 +550,12 @@ class TestReportBytes:
         argv, code, digest = case
         cfg = tmp_path / "run.cfg"
         cfg.write_text(self.RUN_CFG)
-        assert main([a.format(cfg=cfg) for a in argv]) == code
+        argv = [a.format(cfg=cfg) for a in argv]
+        assert main(argv) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # the same bytes through --out, and nothing on stdout
+        report = tmp_path / "report.out"
+        assert main([*argv, "--out", str(report)]) == code
+        assert capsys.readouterr().out == ""
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

@@ -121,6 +121,12 @@ class TestConjugacy:
             if b < bk <= 2.0 and b > 0:
                 assert cm.in_logistic_window
 
+    @pytest.mark.parametrize("grid_size", [2.5, float("nan"), float("inf")])
+    def test_non_integer_grid_size_raises(self, grid_size):
+        # unchecked, 2.5 and NaN died with a TypeError from numpy
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            verify_conjugacy(EDGE, grid_size=grid_size)
+
     def test_alternative_root_also_conjugates(self):
         assert verify_conjugacy(EDGE, root="interior") <= 1e-12
         cm = conjugacy_map(EDGE, root="interior")

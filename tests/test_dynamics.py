@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import threading
 import time
 import warnings
@@ -360,16 +361,13 @@ class TestDetectLimit:
         s0 = SimplexPoint(0.3, 0.2, 0.4, 0.1)
         detect_limit(s0, FIG2)
         assert len(calls) == 1
-        detect_limit(s0, FIG2, catalog=fixed_point_set(FIG2))
-        assert len(calls) == 3  # one for the catalog, one for detect_limit
 
-    @pytest.mark.parametrize("catalog", [None, []], ids=["own", "given"])
-    def test_inadmissible_rates_raise_before_bad_tolerance(self, catalog):
+    def test_inadmissible_rates_raise_before_bad_tolerance(self):
         p = ModelParams(0.9, 0.5, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(InadmissibleParams):
-            detect_limit(SimplexPoint(1, 0, 0, 0), p, tol_step=math.nan, catalog=catalog)
+            detect_limit(SimplexPoint(1, 0, 0, 0), p, tol_step=math.nan)
         with pytest.raises(ValueError, match="tolerances must be >= 0"):
-            detect_limit(SimplexPoint(1, 0, 0, 0), FIG1, tol_fix=-1.0, catalog=catalog)
+            detect_limit(SimplexPoint(1, 0, 0, 0), FIG1, tol_fix=-1.0)
 
     @pytest.mark.parametrize("match_tol", [math.nan, -1.0, math.inf])
     def test_bad_match_tol_raises(self, match_tol):
@@ -619,6 +617,20 @@ class TestVerifyProposition:
         monkeypatch.setattr(dynamics, "_sample", lambda *args: pytest.fail("sampled"))
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             verify_proposition("fixed-initial", max_iter=max_iter)
+
+    @pytest.mark.parametrize("options,named", [
+        ({"trials": math.nan}, "trials must be an integer, got nan"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ], ids=["trials=nan", "trials=2.5", "seed=-1", "seed=2.5"])
+    def test_non_count_trials_or_seed_raises_before_sampling(self, options, named,
+                                                              monkeypatch):
+        # unchecked, trials=nan drew for seconds and reported "of nan trials",
+        # 2.5 died with a TypeError and seed=-1 with numpy's message
+        monkeypatch.setattr(dynamics, "_sample", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            verify_proposition("fixed-initial", **options)
 
     def test_draws_cap_raises(self, monkeypatch):
         # the rarest rule keeps about 1 draw in 1,000: one batch is too few
@@ -879,6 +891,18 @@ class TestConjectureScan:
     def test_needs_an_initial_point(self):
         with pytest.raises(ValueError, match="n_init must be >= 1"):
             conjecture_scan(1, grid=default_grid(1), n_init=0)
+
+    @pytest.mark.parametrize("options,named", [
+        ({"n_init": 2.5}, "n_init must be an integer, got 2.5"),
+        ({"n_init": math.nan}, "n_init must be an integer, got nan"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ], ids=["n_init=2.5", "n_init=nan", "seed=2.5"])
+    def test_non_integer_count_raises_before_the_rule_table(self, options, named,
+                                                            monkeypatch):
+        # unchecked, each died with a TypeError from numpy
+        monkeypatch.setattr(dynamics, "_apply_rules", lambda *args: pytest.fail("ruled"))
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            conjecture_scan(1, grid=SMALL_GRID, **options)
 
     @JSONL_PINS
     def test_jsonl_bytes_pinned(self, options, summary, digest):

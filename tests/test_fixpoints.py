@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -438,6 +439,15 @@ class TestGridSweep:
         assert grid.shape == (35, 4)  # C(7,3)
         assert np.allclose(grid.sum(axis=1), 1.0)
         assert np.all(grid >= 0)
+
+    @pytest.mark.parametrize("resolution,named", [
+        (2.5, "resolution must be an integer, got 2.5"),
+        (math.inf, "resolution must be an integer, got inf"),
+        (0, "resolution must be >= 1, got 0"),
+    ], ids=["2.5", "inf", "0"])
+    def test_resolution_must_be_a_positive_integer(self, resolution, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            barycentric_grid(resolution)
 
     def test_near_fixed_grid_points_are_near_catalog(self):
         # brute-force sweep against the catalog in the two-point regime

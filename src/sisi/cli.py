@@ -41,7 +41,6 @@ from sisi.fixpoints import fixed_point_set
 from sisi.stability import LAMBDA1, classify_at, classify_lambda1
 from sisi.conjugacy import (
     QuadraticMap1D,
-    _require_edge_regime,
     classify_1d_fixed_points,
     conjugacy_map,
     verify_conjugacy,
@@ -129,12 +128,12 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _point(text: str) -> SimplexPoint:
     coords = [float(t) for t in text.split(",")]
     if len(coords) != 4:
-        raise ConfigError("init needs four comma-separated coordinates")
+        raise ValueError("needs four comma-separated coordinates")
     return SimplexPoint(*coords)
 
 
 # Keys that a config file, --params or the flag of the same name may set,
-# and how each value is read.
+# and how each value is read; a value it cannot read is named by its key.
 _PAIRS = {**dict.fromkeys(_PARAM_KEYS, float), "init": _point, "max_iter": int,
           "tol_step": float, "tol_fix": float, "grid": int, "seed": int}
 
@@ -144,11 +143,11 @@ _FLAGS = {
                    help="rates: b, alpha, beta1, beta2, k1, k2 (missing keys default to 0)"),
     "figure": dict(type=int, choices=sorted(_FIGURES), help="preset; fixes the rates and init"),
     "init": dict(help="initial point as x,u,y,v"),
-    "max_iter": dict(type=int),
-    "tol_step": dict(type=float),
-    "tol_fix": dict(type=float),
-    "grid": dict(type=int, help="conjugacy grid points (default 10000)"),
-    "seed": dict(type=int, help="rng seed (default 0)"),
+    "max_iter": dict(),
+    "tol_step": dict(),
+    "tol_fix": dict(),
+    "grid": dict(help="conjugacy grid points (default 10000)"),
+    "seed": dict(help="rng seed (default 0)"),
     "format": dict(choices=("json", "csv"), default="json"),
     "root": dict(choices=("one", "interior"), default="one"),
     "conjecture": dict(type=int, choices=(1, 2), required=True),
@@ -193,7 +192,12 @@ def _resolve(args) -> RunConfig:
     if figure is not None and preset:
         raise ConfigError(f"--figure fixes the rates and init; drop {', '.join(preset)}")
 
-    values = {k: _PAIRS[k](v) for k, v in pairs.items()}
+    values = {}
+    for k, v in pairs.items():
+        try:
+            values[k] = _PAIRS[k](v)
+        except ValueError as exc:
+            raise ConfigError(f"{k}: {exc}") from None
     cfg = RunConfig(out=args.out,
                     **{k: v for k, v in values.items() if k not in _PARAM_KEYS})
     if figure is not None:
@@ -350,10 +354,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 def cmd_conjugacy(cfg: RunConfig, args) -> int:
     p = cfg.params
-    _require_edge_regime(p)  # the 1-D reduction holds only there
-    if p.beta1 * p.k1 <= 0.0:
-        raise ConfigError("conjugacy needs beta1*k1 > 0")
-    cm = conjugacy_map(p, root=args.root)
+    cm = conjugacy_map(p, root=args.root)  # checks the regime first
     f = QuadraticMap1D.from_params(p)
     sup = verify_conjugacy(p, grid_size=cfg.grid, root=args.root)
     p1, p2 = classify_1d_fixed_points(p)

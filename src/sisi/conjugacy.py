@@ -103,6 +103,8 @@ class QuadraticMap1D:
 
     @classmethod
     def from_params(cls, p: ModelParams) -> "QuadraticMap1D":
+        """The map of rates in the no-recovery regime; WrongRegime elsewhere."""
+        _require_edge_regime(p)
         return cls(p.b, p.beta1 * p.k1)
 
     @property
@@ -147,7 +149,10 @@ class ConjugacyMap:
 
 
 def conjugacy_map(p: ModelParams, root: str = "one") -> ConjugacyMap:
-    """The affine conjugacy between the logistic family and the x-dynamics."""
+    """The affine conjugacy between the logistic family and the x-dynamics,
+    for rates in the no-recovery regime with beta1*k1 > 0; WrongRegime
+    elsewhere."""
+    _require_edge_regime(p)
     b = p.b
     B = p.beta1 * p.k1
     if B <= 0.0:

@@ -428,21 +428,6 @@ def _first_rule(a) -> np.ndarray:
     return np.select(held, list(range(len(_RULES))), -1)
 
 
-def _apply_rules(rates, start) -> tuple[np.ndarray, np.ndarray]:
-    """The table on broadcastable rate and start columns: each row's first
-    rule that holds, as an index into ``_RULES`` (-1 for none), and its
-    target with a last axis of 4 (NaN for none).  Rows whose rates are not
-    admissible get an arbitrary rule."""
-    a = _inputs(rates, start)
-    first = _first_rule(a)
-    targets = np.full(first.shape + (4,), np.nan)
-    for i in np.unique(first[first >= 0]).tolist():
-        target = _RULES[i].target
-        coords = [np.broadcast_to(c, first.shape) for c in _POINTS.get(target, target)(a)]
-        targets[first == i] = np.stack(coords, axis=-1)[first == i]
-    return first, targets
-
-
 def predicted_limit(s0: SimplexPoint, p: ModelParams) -> PredictedLimit | None:
     """The target of the first rule of ``_RULES`` that holds for (s0, p), or
     None where none does; nothing is guessed.  Conjecture-backed targets carry
@@ -663,27 +648,33 @@ class GridSpec:
                 * len(self.beta2) * len(self.k1) * len(self.k2))
 
 
+# Per conjecture: the premise of the rules it claims rows by, and its
+# default grid, 5 values per axis covering the reference simulation settings
+_CONJECTURES = {
+    1: (SRC_BOUNDARY_CONJ, GridSpec(
+        b=(0.1, 0.2, 0.35, 0.5, 0.6),
+        alpha=(0.05, 0.1, 0.2, 0.3, 0.4),
+        beta1=(0.25, 0.5, 0.75, 1.0, 1.25),
+        beta2=(0.0, 0.05, 0.1, 0.2, 0.4),
+        k1=(0.25, 0.5, 1.0, 1.5, 2.0),
+        k2=(0.15, 0.3, 0.6, 0.9, 1.2),
+    )),
+    2: (SRC_INTERIOR_CONJ, GridSpec(
+        b=(0.1, 0.2, 0.35, 0.5, 0.6),
+        alpha=(0.01, 0.05, 0.1, 0.2, 0.3),
+        beta1=(0.2, 0.4, 0.5, 0.6, 0.8),
+        beta2=(0.01, 0.05, 0.1, 0.2, 0.4),
+        k1=(0.3, 0.5, 0.8, 1.0, 1.2),
+        k2=(0.3, 0.6, 0.8, 1.1, 1.2),
+    )),
+}
+
+
 def default_grid(conjecture: int) -> GridSpec:
     """5-values-per-axis grids covering the reference simulation settings."""
-    if conjecture == 1:
-        return GridSpec(
-            b=(0.1, 0.2, 0.35, 0.5, 0.6),
-            alpha=(0.05, 0.1, 0.2, 0.3, 0.4),
-            beta1=(0.25, 0.5, 0.75, 1.0, 1.25),
-            beta2=(0.0, 0.05, 0.1, 0.2, 0.4),
-            k1=(0.25, 0.5, 1.0, 1.5, 2.0),
-            k2=(0.15, 0.3, 0.6, 0.9, 1.2),
-        )
-    if conjecture == 2:
-        return GridSpec(
-            b=(0.1, 0.2, 0.35, 0.5, 0.6),
-            alpha=(0.01, 0.05, 0.1, 0.2, 0.3),
-            beta1=(0.2, 0.4, 0.5, 0.6, 0.8),
-            beta2=(0.01, 0.05, 0.1, 0.2, 0.4),
-            k1=(0.3, 0.5, 0.8, 1.0, 1.2),
-            k2=(0.3, 0.6, 0.8, 1.1, 1.2),
-        )
-    raise ValueError("conjecture must be 1 (boundary) or 2 (interior)")
+    if conjecture not in tuple(_CONJECTURES):  # compared by ==, so unhashable input too
+        raise ValueError("conjecture must be 1 (boundary) or 2 (interior)")
+    return _CONJECTURES[conjecture][1]
 
 
 # In the order conjecture_scan tests their conditions; the last is the default.
@@ -715,57 +706,55 @@ def _n_parts(rows: int, minimum: int) -> int:
 
 
 def _in_parts(fn, parts, sink) -> None:
-    """Pass each item of ``fn(part)`` to ``sink``, part by part in order.
+    """Pass each item of ``fn(part)`` to ``sink``, part by part in order,
+    for one or two parts.
 
-    The first part runs in this process while each other part runs in a
-    forked child.  A child makes its whole list of items first, so it never
-    waits on this process, then sends them pickled through a pipe, or sends
-    the exception it raised, which is raised here; it always leaves by
-    ``os._exit``.  Every child is killed, if still running, and reaped
-    before this returns or raises.  A child also leaves as soon as this
-    process ends, even by a signal that runs no ``finally``: this process
-    alone holds the write end of the child's lifeline pipe, and a thread
-    in the child exits when reading the other end gives EOF.
+    The first part runs in this process.  A second part runs in a forked
+    child, which makes its whole list of items first, so it never waits on
+    this process, then sends them pickled over a socket pair, or sends the
+    exception it raised, which is raised here; it always leaves by
+    ``os._exit``.  The child is killed, if still running, and reaped before
+    this returns or raises.  It also leaves as soon as this process ends,
+    even by a signal that runs no ``finally``: this process alone holds the
+    other end of the socket pair, and a thread in the child returns from
+    ``recv(1)`` at EOF, once that end is closed.
     """
     import os
     import pickle
     import signal
+    import socket
     import threading
 
-    children = []
-    try:
-        for part in parts[1:]:
-            r, w = os.pipe()
-            life_r, life_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(r)
-                    os.close(life_w)
-                    for _, pipe, lifeline in children:
-                        pipe.close()
-                        os.close(lifeline)
-
-                    def leave_with_parent():
-                        os.read(life_r, 1)  # nothing is written: returns at EOF
-                        os._exit(0)
-
-                    threading.Thread(target=leave_with_parent, daemon=True).start()
-                    try:
-                        sent = [("item", item) for item in fn(part)] + [("end", None)]
-                    except BaseException as exc:
-                        sent = [("error", exc)]
-                    with open(w, "wb") as out:
-                        for message in sent:
-                            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            os.close(life_r)
-            children.append((pid, open(r, "rb"), life_w))
+    if len(parts) == 1:
         for item in fn(parts[0]):
             sink(item)
-        for pid, pipe, _ in children:
+        return
+    first, second = parts
+    mine, theirs = socket.socketpair()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            mine.close()
+
+            def leave_with_parent():
+                theirs.recv(1)  # nothing is sent this way: returns at EOF
+                os._exit(0)
+
+            threading.Thread(target=leave_with_parent, daemon=True).start()
+            try:
+                sent = [("item", item) for item in fn(second)] + [("end", None)]
+            except BaseException as exc:
+                sent = [("error", exc)]
+            with theirs.makefile("wb") as out:
+                for message in sent:
+                    pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    theirs.close()
+    try:
+        for item in fn(first):
+            sink(item)
+        with mine.makefile("rb") as pipe:
             while True:
                 try:
                     kind, value = pickle.load(pipe)
@@ -778,11 +767,9 @@ def _in_parts(fn, parts, sink) -> None:
                     break
                 sink(value)
     finally:
-        for pid, pipe, lifeline in children:
-            pipe.close()
-            os.close(lifeline)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        mine.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -981,10 +968,8 @@ def conjecture_scan(
     With two parts (:func:`_n_parts` of the claimed rows), a forked child
     iterates every other claimed row; the report is the same to the bit.
     """
-    if grid is None:
-        grid = default_grid(conjecture)
-    if conjecture not in (1, 2):
-        raise ValueError("conjecture must be 1 (boundary) or 2 (interior)")
+    default = default_grid(conjecture)  # raises for an unknown conjecture
+    grid = default if grid is None else grid
     n_init = _require_count("n_init", n_init, 1)
     seed = _require_count("seed", seed, 0)
     max_iter = _require_budget(max_iter, tol_step=tol_step, match_tol=match_tol)
@@ -995,46 +980,53 @@ def conjecture_scan(
     inits = 0.1 + rng.dirichlet(np.ones(4), size=n_init) * (1.0 - 0.1 * 4)
 
     admissible = _admissible(cells)
-    # the rules' targets divide by zero on rows they do not take, and an
-    # infinite rate gives inf*0 = NaN terms; those are never read
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        first, targets = _apply_rules(tuple(cells.T[:, :, None]), tuple(inits.T[:, None, :]))
-
     # an admissible row is claimed when its first rule is one of the
     # conjecture's; its label is that rule's catalog point (-1: None)
-    premise = SRC_BOUNDARY_CONJ if conjecture == 1 else SRC_INTERIOR_CONJ
+    premise = _CONJECTURES[conjecture][0]
     labels = [rule.target if rule.premise == premise else None for rule in _RULES]
-    target_label = np.array(labels + [None], dtype=object)[
-        np.where(admissible[:, None], first, -1)]
-    claim = target_label.astype(bool)
-    cell_idx, init_idx = np.nonzero(claim)
-    targets = targets[claim]  # drops the rule table's full-size arrays
-    del first
+    # the rules divide by zero on rows they do not take, and an infinite
+    # rate gives inf*0 = NaN terms; those are never read
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = _inputs(tuple(cells.T[:, :, None]), tuple(inits.T[:, None, :]))
+        target_label = np.array(labels + [None], dtype=object)[
+            np.where(admissible[:, None], _first_rule(a), -1)]
+        claim = target_label.astype(bool)
+        cell_idx, init_idx = np.nonzero(claim)
+        # each claimed row's target, the catalog point its label names
+        claimed = target_label[claim]
+        targets = np.empty((claimed.size, 4))
+        for label in {*claimed.tolist()}:
+            on = claimed == label
+            for i, coord in enumerate(_POINTS[label](a)):
+                targets[on, i] = np.broadcast_to(coord, claim.shape)[cell_idx[on], init_idx[on]]
+    del a, claimed  # the grid-wide rule inputs
     if not np.all(_fixed(tuple(targets.T), cells[cell_idx].T, RESIDUAL_TOL)):
         raise ArithmeticError("a claimed target is not fixed")
 
     # evolve the claimed rows only; every other row stays NaN, 0 iterations.
     # Row i goes to part i mod n; rows are independent and the 16-step
     # cadence counts from the start, so a part gives each row's bits.
+    # The report's columns are made once this process's part of the kernel
+    # is done, so they reuse its memory rather than add to its peak.
+    columns = []
+
+    def store(part):
+        if not columns:
+            columns[:] = (np.full((n_cells, n_init, 4), np.nan),
+                          np.zeros((n_cells, n_init), dtype=np.int64),
+                          np.full((n_cells, n_init), np.nan), np.full((n_cells, n_init), np.nan))
+        limit, iterations, final_step, distance = columns
+        rows, (final, iters, fstep) = part
+        at = cell_idx[rows], init_idx[rows]
+        limit[at], iterations[at], final_step[at] = final, iters, fstep
+        distance[at] = _sup_dist(tuple(final.T), tuple(targets[rows].T))
+
     n = _n_parts(cell_idx.size, _SPLIT_KERNEL_MIN)
-    parts = [np.arange(i, cell_idx.size, n) for i in range(n)]
-    done = []
-    _in_parts(lambda rows: [_batch_limits(
+    _in_parts(lambda rows: [(rows, _batch_limits(
         cells[cell_idx[rows]], inits[init_idx[rows]], max_iter, tol_step, targets[rows],
-        prox_tol=min(1e-8, match_tol / 10.0))], parts, done.append)
-    final = np.empty((cell_idx.size, 4))
-    iters = np.empty(cell_idx.size, dtype=np.int64)
-    fstep = np.empty(cell_idx.size)
-    for rows, part in zip(parts, done):
-        final[rows], iters[rows], fstep[rows] = part
-    limit = np.full((n_cells, n_init, 4), np.nan)
-    iterations = np.zeros((n_cells, n_init), dtype=np.int64)
-    final_step = np.full((n_cells, n_init), np.nan)
-    distance = np.full((n_cells, n_init), np.nan)
-    limit[claim] = final
-    iterations[claim] = iters
-    final_step[claim] = fstep
-    distance[claim] = np.max(np.abs(final - targets), axis=1)
+        prox_tol=min(1e-8, match_tol / 10.0)))],
+        [np.arange(i, cell_idx.size, n) for i in range(n)], store)
+    limit, iterations, final_step, distance = columns
     code = np.select([~admissible[:, None], ~claim,
                       distance <= match_tol, final_step <= tol_step],
                      [0, 1, 2, 3], default=4)

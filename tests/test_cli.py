@@ -241,8 +241,9 @@ class TestConjugacy:
         assert "mu=1.3999999999999999" in out
         assert "mu in (1,3): yes" in out
 
-    def test_requires_infection_product(self):
+    def test_requires_infection_product(self, capsys):
         assert main(["conjugacy", "--params", "b=0.2"]) == 2
+        assert capsys.readouterr().err == "error: conjugacy requires beta1*k1 > 0\n"
 
     def test_negative_rate_is_bad_input(self, capsys):
         assert main(["conjugacy", "--params", "b=-0.2", "beta1=0.6", "k1=1"]) == 2
@@ -356,9 +357,12 @@ class TestScan:
         assert proc.wait(timeout=60) == 141
         assert err.read_bytes() == b""
 
-    def test_sigterm_leaves_no_child(self, tmp_path):
-        # SIGTERM ends the scan without running its finally blocks; its
-        # forked child used to live on until its part was done
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL],
+                             ids=["SIGTERM", "SIGKILL"])
+    def test_sigterm_leaves_no_child(self, signum, tmp_path):
+        # a signal ends the scan without running its finally blocks; its
+        # forked child used to live on until its part was done, and leaves
+        # now when the end of the socket pair this process held is closed
         if dynamics._n_parts(dynamics._SPLIT_KERNEL_MIN, dynamics._SPLIT_KERNEL_MIN) == 1:
             pytest.skip("the scan runs in one process here (one CPU, no fork or a thread)")
         proc = subprocess.Popen(
@@ -376,8 +380,8 @@ class TestScan:
                 with open(children) as fh:
                     kids = [int(pid) for pid in fh.read().split()]
             assert kids, "the scan forked no child"
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=30) == -signal.SIGTERM
+            proc.send_signal(signum)
+            assert proc.wait(timeout=30) == -signum
             time.sleep(0.5)
             assert [pid for pid in kids if _running(pid)] == []
         finally:
@@ -445,6 +449,16 @@ class TestOutPath:
         assert out.read_text() == "kept\n"
 
 
+# A value its key cannot take: (subcommand, key=value, the error it prints)
+BAD_VALUES = [
+    ("validate", "b=abc", "b: could not convert string to float: 'abc'"),
+    ("conjugacy", "grid=2.5", "grid: invalid literal for int() with base 10: '2.5'"),
+    ("simulate", "init=0.5,0.5", "init: needs four comma-separated coordinates"),
+    ("simulate", "tol_fix=small", "tol_fix: could not convert string to float: 'small'"),
+    ("scan", "seed=x", "seed: invalid literal for int() with base 10: 'x'"),
+]
+
+
 class TestInputKeys:
     @pytest.mark.parametrize("source", ["config", "params"])
     @pytest.mark.parametrize("argv,pair", [
@@ -486,6 +500,37 @@ class TestInputKeys:
         assert captured.out == ""
         assert named in captured.err
 
+
+    @pytest.mark.parametrize("command,pair,message,source", [
+        pytest.param(command, pair, message, source,
+                     id=f"{command}-{pair.split('=')[0]}-{source}")
+        for command, pair, message in BAD_VALUES
+        for source in ("config", "params", "flag")
+        # scan reads no rates, and a rate has no flag of its own
+        if not (source == "params" and command == "scan")
+        and not (source == "flag" and pair.startswith("b="))
+    ])
+    def test_bad_value_is_named_by_its_key(self, command, pair, message, source,
+                                           tmp_path, capsys):
+        # unnamed, the error was Python's conversion message alone, and a
+        # flag's was argparse's usage error
+        rates = {"scan": [], "conjugacy": ["beta1=0.6", "k1=1"]}.get(
+            command, ["alpha=0.2", "beta1=0.5", "k1=1", "k2=0.3"])
+        argv = [command, "--conjecture", "1"] if command == "scan" else [command]
+        key, value = pair.split("=", 1)
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("\n".join([*rates, pair]) + "\n")
+            argv += ["--config", str(cfg)]
+        elif source == "params":
+            argv += ["--params", *rates, pair]
+        else:
+            argv += [*(["--params", *rates] if rates else []),
+                     "--" + key.replace("_", "-"), value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     @pytest.mark.parametrize("command", ["validate", "scan"])

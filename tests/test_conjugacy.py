@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sisi.model import ModelParams, SimplexPoint, apply_V
+from sisi.model import ModelParams, NegativeParameter, SimplexPoint, apply_V
 from sisi.conjugacy import (
     DegenerateInput,
     QuadraticMap1D,
@@ -174,3 +174,27 @@ class TestClassify1D:
         p1, p2 = classify_1d_fixed_points(p)
         assert p1.label == "attracting"
         assert p2.location > 1.0  # leaves the unit interval
+
+
+class TestRegimeChecked:
+    """The library's own entry points refuse rates off the no-recovery edge,
+    where the 1-D reduction does not hold; unchecked, the identity and the
+    1-D labels came out for any rates."""
+
+    CALLS = [conjugacy_map, verify_conjugacy, QuadraticMap1D.from_params,
+             classify_1d_fixed_points]
+    IDS = ["conjugacy_map", "verify_conjugacy", "from_params", "classify_1d_fixed_points"]
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_off_the_edge_raises(self, call):
+        with pytest.raises(WrongRegime, match=r"^requires alpha = k2 = 0, got alpha=0.3, k2=0.4$"):
+            call(ModelParams(0.2, 0.3, 0.6, 0.0, 1.0, 0.4))
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_negative_rate_raises(self, call):
+        with pytest.raises(NegativeParameter, match="b=-0.2"):
+            call(ModelParams(-0.2, 0.0, 0.6, 0.0, 1.0, 0.0))
+
+    def test_no_infection_product_raises(self):
+        with pytest.raises(WrongRegime, match=r"^conjugacy requires beta1\*k1 > 0$"):
+            conjugacy_map(ModelParams(0.2, 0.0, 0.0, 0.0, 1.0, 0.0))

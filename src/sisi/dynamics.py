@@ -681,25 +681,26 @@ def default_grid(conjecture: int) -> GridSpec:
 _VERDICTS = ("inadmissible", "no-claim", "match", "counterexample", "inconclusive")
 
 
-# Claimed rows from which the step kernel is split.  Its tail, the rows
-# that spend the whole budget, is bound by numpy's per-call cost, which
-# each part pays in full: conjecture 1's 12,325 claimed rows (320 in the
-# tail) ran 6% slower split, conjecture 2's 75,095 (2,235) 28% faster.
-_SPLIT_KERNEL_MIN = 32_768
-# Iterated rows from which the JSONL writer is split: a fork and its pipe
-# take about 5 ms, half of 4,096 iterated rows about 20 ms to render.
-_SPLIT_WRITER_MIN = 4_096
+# Rows of scan work from which a stage is split: claimed rows for the step
+# kernel, iterated rows for the JSONL writer.  Below it a fork and its
+# socket pair cost more than sharing the work saves: a 12-cell, 2-start
+# grid (24 rows) scanned and written as JSONL took 2.2 ms in one process
+# and 11.8 ms split (medians of 30, 2 CPUs).  Conjecture 1's default grid
+# (12,325 claimed rows) is above it: conjecture_scan(1) took 0.665 s with
+# its kernel split and 0.701 s without (medians of 20 alternating pairs,
+# split faster in 14); conjecture 2's 75,095 rows gain more.
+_SPLIT_MIN = 4_096
 
 
-def _n_parts(rows: int, minimum: int) -> int:
+def _n_parts(rows: int) -> int:
     """How many processes share ``rows`` rows of scan work: 2 when ``rows``
-    is at least ``minimum`` and this process may run on at least two CPUs,
-    can fork and runs no other Python thread; else 1."""
+    is at least ``_SPLIT_MIN`` and this process may run on at least two
+    CPUs, can fork and runs no other Python thread; else 1."""
     import os
     import threading
 
     cpus = getattr(os, "sched_getaffinity", None)
-    if (rows < minimum or cpus is None or not hasattr(os, "fork")
+    if (rows < _SPLIT_MIN or cpus is None or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return 1
     return 2 if len(cpus(0)) >= 2 else 1
@@ -806,10 +807,11 @@ class ScanReport:
         Each line is what ``json.dumps(row, sort_keys=True)`` writes, with
         ``"limit": null`` for a row of 0 iterations, which was not iterated.
         Rows are rendered and written in blocks, so the file is never held
-        whole.  With two parts (:func:`_n_parts` of the iterated rows), a
-        forked child renders the blocks after the one where half of the
-        iterated rows are done while this process writes the header and
-        the blocks before; then the child's blocks are copied into ``fh``.
+        whole.  With two parts (:func:`_n_parts` of the iterated rows, the
+        rule the scan's kernel splits by), a forked child renders the
+        blocks after the one where half of the iterated rows are done
+        while this process writes the header and the blocks before; then
+        the child's blocks are copied into ``fh``.
         """
         n_init = self.inits.shape[0]
         header = {
@@ -849,7 +851,7 @@ class ScanReport:
         starts = range(0, verdict.size, _JSONL_BLOCK)
         parts = [starts]
         n_ran = np.count_nonzero(iterations)
-        if _n_parts(n_ran, _SPLIT_WRITER_MIN) == 2:
+        if _n_parts(n_ran) == 2:
             # this process takes the blocks up to the one where half of
             # the iterated rows are done
             half = int(np.searchsorted(np.cumsum(iterations != 0), n_ran / 2))
@@ -894,25 +896,25 @@ def _sup_dist(a, b):
     return out
 
 
-def _batch_limits(params: np.ndarray, states: np.ndarray, max_iter: int,
-                  tol_step: float, targets: np.ndarray, prox_tol: float):
-    """Iterate many (rates, state) rows at once, freezing converged rows.
+def _batch_limits(rates, cur, tgt, max_iter: int, tol_step: float, prox_tol: float):
+    """Iterate many (rates, start) rows at once, freezing converged rows.
 
-    Every 16 steps, freezes a row when its last step is <= tol_step or it
-    is within prox_tol of its target (rows with a NaN target use the step
-    rule only).  The live rows are kept as columns, one array per
-    coordinate and rate, so the step runs on them without reshaping.
-    Returns (final states, iterations, final steps).
+    ``rates``, the start ``cur`` and the target ``tgt`` are tuples of 1-D
+    columns, six, four and four of them, one entry per row; they are read,
+    not copied.  Every 16 steps, freezes a row when its last step is <=
+    tol_step or it is within prox_tol of its target (rows with a NaN target
+    use the step rule only); the step runs on the live rows' columns.
+    Returns (final states as a (4, n) array of columns, iterations, final
+    steps, distances to target), each distance the sup-norm the proximity
+    rule read when the row froze.
     """
-    n = states.shape[0]
-    final = states.copy()
+    n = cur[0].size
+    final = np.empty((4, n))
     iters = np.zeros(n, dtype=np.int64)
     fstep = np.full(n, np.inf)
+    dist = np.empty(n)
 
     live = np.arange(n)
-    cur = tuple(states.T.copy())
-    rates = tuple(params.T.copy())
-    tgt = tuple(targets.T.copy())
     done = 0
     CHUNK = 16
     while live.size and done < max_iter:
@@ -925,21 +927,23 @@ def _batch_limits(params: np.ndarray, states: np.ndarray, max_iter: int,
         step = _sup_dist(cur, prev)
         frozen = step <= tol_step
         with np.errstate(invalid="ignore"):
-            frozen |= _sup_dist(cur, tgt) <= prox_tol
+            near = _sup_dist(cur, tgt)
+            frozen |= near <= prox_tol
         if done >= max_iter:
             frozen[:] = True
         if np.any(frozen):
             rows = live[frozen]
-            for i, col in enumerate(cur):
-                final[rows, i] = col[frozen]
+            for out, col in zip(final, cur):
+                out[rows] = col[frozen]
             iters[rows] = done
             fstep[rows] = step[frozen]
+            dist[rows] = near[frozen]
             keep = ~frozen
             live = live[keep]
             cur = tuple(col[keep] for col in cur)
             rates = tuple(r[keep] for r in rates)
             tgt = tuple(t[keep] for t in tgt)
-    return final, iters, fstep
+    return final, iters, fstep, dist
 
 
 def conjecture_scan(
@@ -965,8 +969,10 @@ def conjecture_scan(
     counterexamples are reported, never suppressed.  ``n_init`` and
     ``max_iter`` must be integers >= 1, ``seed`` an integer >= 0 and both
     tolerances finite and >= 0.
-    With two parts (:func:`_n_parts` of the claimed rows), a forked child
-    iterates every other claimed row; the report is the same to the bit.
+    The claimed rows' rate, start and target columns are built once.  With
+    two parts (:func:`_n_parts` of the claimed rows, the rule the JSONL
+    writer splits by), a forked child iterates every other claimed row, on
+    strided views of those columns; the report is the same to the bit.
     """
     default = default_grid(conjecture)  # raises for an unknown conjecture
     grid = default if grid is None else grid
@@ -992,15 +998,18 @@ def conjecture_scan(
             np.where(admissible[:, None], _first_rule(a), -1)]
         claim = target_label.astype(bool)
         cell_idx, init_idx = np.nonzero(claim)
-        # each claimed row's target, the catalog point its label names
+        # the claimed rows' rate, start and target columns; each target is
+        # the catalog point its label names
+        rates = tuple(col[cell_idx] for col in cells.T)
+        start = tuple(col[init_idx] for col in inits.T)
         claimed = target_label[claim]
-        targets = np.empty((claimed.size, 4))
+        target = tuple(np.empty(claimed.size) for _ in range(4))
         for label in {*claimed.tolist()}:
             on = claimed == label
-            for i, coord in enumerate(_POINTS[label](a)):
-                targets[on, i] = np.broadcast_to(coord, claim.shape)[cell_idx[on], init_idx[on]]
+            for out, coord in zip(target, _POINTS[label](a)):
+                out[on] = np.broadcast_to(coord, claim.shape)[cell_idx[on], init_idx[on]]
     del a, claimed  # the grid-wide rule inputs
-    if not np.all(_fixed(tuple(targets.T), cells[cell_idx].T, RESIDUAL_TOL)):
+    if not np.all(_fixed(target, rates, RESIDUAL_TOL)):
         raise ArithmeticError("a claimed target is not fixed")
 
     # evolve the claimed rows only; every other row stays NaN, 0 iterations.
@@ -1016,16 +1025,15 @@ def conjecture_scan(
                           np.zeros((n_cells, n_init), dtype=np.int64),
                           np.full((n_cells, n_init), np.nan), np.full((n_cells, n_init), np.nan))
         limit, iterations, final_step, distance = columns
-        rows, (final, iters, fstep) = part
+        rows, (final, iters, fstep, dist) = part
         at = cell_idx[rows], init_idx[rows]
-        limit[at], iterations[at], final_step[at] = final, iters, fstep
-        distance[at] = _sup_dist(tuple(final.T), tuple(targets[rows].T))
+        limit[at], iterations[at], final_step[at], distance[at] = final.T, iters, fstep, dist
 
-    n = _n_parts(cell_idx.size, _SPLIT_KERNEL_MIN)
+    n = _n_parts(cell_idx.size)
     _in_parts(lambda rows: [(rows, _batch_limits(
-        cells[cell_idx[rows]], inits[init_idx[rows]], max_iter, tol_step, targets[rows],
-        prox_tol=min(1e-8, match_tol / 10.0)))],
-        [np.arange(i, cell_idx.size, n) for i in range(n)], store)
+        *(tuple(col[rows] for col in cols) for cols in (rates, start, target)),
+        max_iter, tol_step, min(1e-8, match_tol / 10.0)))],
+        [slice(i, None, n) for i in range(n)], store)
     limit, iterations, final_step, distance = columns
     code = np.select([~admissible[:, None], ~claim,
                       distance <= match_tol, final_step <= tol_step],

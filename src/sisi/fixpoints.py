@@ -288,17 +288,19 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
     with A the positive root of :func:`interior_quadratic`.  The residual
     bound RESIDUAL_TOL is enforced as a postcondition: an alternative form
     with x = b/(b + alpha) circulates but does not satisfy V(q) = q, and
-    this check is what arbitrates between them.
+    this check is what arbitrates between them.  Raises NoInteriorPoint
+    where lambda_11 does not exist, also at b = 0, where the catalog holds
+    fixed faces only, and at alpha = 0, where the endemic point is
+    lambda_9, on the boundary (y = v = 0).
     """
     require_admissible(p)
     try:
         quad = interior_quadratic(p)
     except DegenerateRegime as exc:
         raise NoInteriorPoint(str(exc)) from exc
-    if quad.positive_root is None:
-        raise NoInteriorPoint(
-            "the equilibrium quadratic has no positive root for these rates"
-        )
+    if quad.positive_root is None or p.b == 0.0 or p.alpha == 0.0:
+        raise NoInteriorPoint("no lambda_11 for these rates: b = 0, alpha = 0 or "
+                              "the equilibrium quadratic has no positive root")
     fp = _interior_point("lambda_11", p, quad.positive_root)
     if fp.residual > RESIDUAL_TOL:
         raise ArithmeticError(

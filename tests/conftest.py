@@ -51,8 +51,7 @@ def scan_parts(request, monkeypatch, no_child_left) -> SimpleNamespace:
     parts and the pids of the children forked since."""
     cpus = set(range(request.param))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(dynamics, "_SPLIT_KERNEL_MIN", 1)
-    monkeypatch.setattr(dynamics, "_SPLIT_WRITER_MIN", 1)
+    monkeypatch.setattr(dynamics, "_SPLIT_MIN", 1)
     forked = []
     fork = os.fork
 

@@ -363,7 +363,7 @@ class TestScan:
         # a signal ends the scan without running its finally blocks; its
         # forked child used to live on until its part was done, and leaves
         # now when the end of the socket pair this process held is closed
-        if dynamics._n_parts(dynamics._SPLIT_KERNEL_MIN, dynamics._SPLIT_KERNEL_MIN) == 1:
+        if dynamics._n_parts(dynamics._SPLIT_MIN) == 1:
             pytest.skip("the scan runs in one process here (one CPU, no fork or a thread)")
         proc = subprocess.Popen(
             [sys.executable, "-m", "sisi.cli", "scan", "--conjecture", "2",

@@ -744,10 +744,12 @@ class TestConjectureScan:
 
         monkeypatch.setattr(dynamics, "_batch_limits", recording)
         report = conjecture_scan(conjecture, grid=grid, n_init=2, seed=3, max_iter=1)
-        [(params, states, _, _, targets)] = calls
+        [(params, states, targets, *_)] = calls
+        assert [[col.ndim for col in cols] for cols in (params, states, targets)] == [
+            [1] * 6, [1] * 4, [1] * 4]
         source, other = ((dynamics.SRC_BOUNDARY_CONJ, "lambda_10") if conjecture == 1
                          else (dynamics.SRC_INTERIOR_CONJ, "lambda_11"))
-        rows = iter(zip(params, states, targets))
+        rows = iter(zip(*map(np.column_stack, (params, states, targets))))
         labels, threshold = set(), 0
         for cell, rates in enumerate(report.cells):
             if report.verdict[cell, 0] == "inadmissible":
@@ -788,11 +790,14 @@ class TestConjectureScan:
             predicted_limit(SimplexPoint.from_array(report.inits[i]),
                             ModelParams(*report.cells[c])).target
             if claim[c, i] else [np.nan] * 4 for c, i in zip(cell_idx, init_idx)])
-        final, iters, fstep = _batch_limits(
-            report.cells[cell_idx], report.inits[init_idx], report.max_iter,
-            report.tol_step, targets, prox_tol=min(1e-8, report.match_tol / 10.0))
-        distance = np.max(np.abs(final - targets), axis=1)
+        final, iters, fstep, distance = _batch_limits(
+            tuple(report.cells[cell_idx].T), tuple(report.inits[init_idx].T),
+            tuple(targets.T), report.max_iter, report.tol_step,
+            min(1e-8, report.match_tol / 10.0))
+        final = final.T
         on = claim[admissible]
+        assert (distance[on].tobytes()
+                == np.max(np.abs(final - targets), axis=1)[on].tobytes())
         assert report.limit[claim].tobytes() == final[on].tobytes()
         assert report.iterations[claim].tolist() == iters[on].tolist()
         assert report.final_step[claim].tobytes() == fstep[on].tobytes()
@@ -814,7 +819,7 @@ class TestConjectureScan:
         rows = []
 
         def recording(*args, **kwargs):
-            rows.append(len(args[0]))
+            rows.append(len(args[0][0]))
             return _batch_limits(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_batch_limits", recording)
@@ -962,13 +967,18 @@ class TestConjectureScan:
         targets = np.tile(np.repeat([[1.0, 0.0, 0.0, 0.0], [np.nan] * 4], len(starts),
                                     axis=0), (len(cells), 1))
         options = dict(max_iter=1203, tol_step=1e-11, prox_tol=1e-8)
-        final, iters, fstep = _batch_limits(params, states, targets=targets, **options)
+        final, iters, fstep, distance = _batch_limits(
+            tuple(params.T), tuple(states.T), tuple(targets.T), **options)
+        final = final.T
         rules = set()
         for i in range(len(params)):
+            target = tuple(targets[i].tolist())
             state, n, step, rule = scalar_limit(tuple(params[i].tolist()), tuple(states[i].tolist()),
-                                                target=tuple(targets[i].tolist()), **options)
+                                                target=target, **options)
             assert final[i].tolist() == list(state), i
             assert (iters[i], fstep[i]) == (n, step), i
+            gap = max(abs(a - t) for a, t in zip(state, target))
+            assert distance[i] == gap or math.isnan(gap) and math.isnan(distance[i]), i
             rules.add(rule)
         assert rules == {"step", "proximity", "budget"}
 
@@ -1017,6 +1027,17 @@ class TestScanParts:
         # one fork for the kernel, one for the writer
         assert len(scan_parts.forked) == 2 * (scan_parts.n - 1)
 
+    @pytest.mark.parametrize("split_min,forks", [(6, 2), (7, 0)], ids=["at", "one-below"])
+    def test_one_split_rule_for_kernel_and_writer(self, split_min, forks, scan_parts,
+                                                  monkeypatch):
+        # the small grid's 6 claimed rows, all iterated, at _SPLIT_MIN or one
+        # below it: the kernel and the writer both fork, or neither does
+        monkeypatch.setattr(dynamics, "_SPLIT_MIN", split_min)
+        report = conjecture_scan(1, grid=SMALL_GRID, n_init=2, seed=5, max_iter=100)
+        report.to_jsonl(io.StringIO())
+        assert np.count_nonzero(report.iterations) == np.count_nonzero(report.target) == 6
+        assert len(scan_parts.forked) == forks * (scan_parts.n - 1)
+
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_non_finite_report_bytes(self, block, scan_parts, monkeypatch):
         monkeypatch.setattr(dynamics, "_JSONL_BLOCK", block)
@@ -1028,24 +1049,25 @@ class TestScanParts:
 
     def test_split_follows_cpus_fork_threads_and_size(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert dynamics._n_parts(100, 100) == 2
-        assert dynamics._n_parts(99, 100) == 1
+        monkeypatch.setattr(dynamics, "_SPLIT_MIN", 100)
+        assert dynamics._n_parts(100) == 2
+        assert dynamics._n_parts(99) == 1
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert dynamics._n_parts(100, 100) == 1
+            assert dynamics._n_parts(100) == 1
         finally:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        assert dynamics._n_parts(100, 100) == 1
+        assert dynamics._n_parts(100) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert dynamics._n_parts(100, 100) == 1
-        monkeypatch.undo()
+        assert dynamics._n_parts(100) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.delattr(os, "fork")
-        assert dynamics._n_parts(100, 100) == 1
+        assert dynamics._n_parts(100) == 1
 
     def test_items_arrive_in_part_order(self, no_child_left):
         got = []

@@ -231,6 +231,28 @@ class TestInteriorFixedPoint:
         with pytest.raises(NoInteriorPoint):
             interior_fixed_point(ModelParams(0.2, 0.3, 0.6, 0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("p", [ModelParams(0.0, 0.2, 0.5, 0.5, 1.0, 1.0),
+                                   ModelParams(0.2, 0.0, 0.8, 0.3, 1.0, 0.5)],
+                             ids=["b=0", "alpha=0"])
+    def test_no_interior_point_at_b_or_alpha_zero(self, p):
+        # b = 0 used to raise ZeroDivisionError, and alpha = 0 to return the
+        # catalog's lambda_9, (0.25, 0.75, 0, 0), labelled lambda_11
+        with pytest.raises(NoInteriorPoint):
+            interior_fixed_point(p)
+        assert "lambda_11" not in [fp.label for fp in fixed_point_set(p)]
+
+    def test_same_bits_as_the_catalog(self, rng):
+        # b, alpha > 0: wherever the catalog lists lambda_11, this is it
+        listed = 0
+        for _ in range(300):
+            p = random_admissible(rng)
+            assert p.b > 0.0 and p.alpha > 0.0
+            for fp in fixed_point_set(p):
+                if fp.label == "lambda_11":
+                    listed += 1
+                    assert interior_fixed_point(p).point.tobytes() == fp.point.tobytes(), p
+        assert listed >= 50
+
     def test_negative_rate_is_rejected(self):
         # the quadratic has a positive root here, whose "point" is off the simplex
         with pytest.raises(NegativeParameter, match="b=-0.2"):

@@ -3,8 +3,10 @@
 At (1, 0, 0, 0) the Jacobian is triangular enough to read off: 1 - b with
 multiplicity three and 1 - b - alpha + beta1*k1 once.  The three-way rule
 (nonhyperbolic on b = 0 or beta1*k1 = b + alpha, attracting below the
-threshold, saddle above) matches the generic eigenvalue route: LAPACK
-eigenpairs, each accepted only after a residual check.
+threshold, saddle above) matches the generic eigenvalue route.  Here that
+route reads the eigenvalues off the diagonal, since a symmetric permutation
+makes the Jacobian triangular; at a point where it does not, LAPACK computes
+the eigenpairs, each accepted only after a residual check.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ for b in (0.0, 0.1, 0.3, 0.5, 0.7):
         row.append(classify_lambda1(p).classification[:5])
     print(f"   {b:4.1f}  ", "  ".join(row))
 
-# The generic path: Jacobian, then residual-checked LAPACK eigenpairs.
+# The generic path: Jacobian, then its eigenvalues (here its diagonal).
 params = ModelParams(b=0.1, alpha=0.2, beta1=0.5, beta2=0.0, k1=1.0, k2=0.3)
 J = jacobian(lam1, params)
 print("\nJacobian at the disease-free state:")

@@ -39,6 +39,7 @@ from sisi.model import (
     RESIDUAL_TOL,
     SimplexPoint,
     _CONDITIONS,
+    _check_rates,
     _rate_ok,
     _require_count,
     _step,
@@ -1092,7 +1093,9 @@ class EquilibriumCurves:
 
 def equilibrium_curves(p: ModelParams, x_max: float | None = None) -> EquilibriumCurves:
     """Sample the two balance curves at 513 points on [0, x_max], plus
-    analytic markers."""
+    analytic markers.  Raises NegativeParameter for a negative or
+    non-finite rate."""
+    _check_rates(p)
     b, al, b1, b2, k1, k2 = p.as_tuple()
     if b == 0.0:
         raise DegenerateRegime(

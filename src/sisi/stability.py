@@ -7,12 +7,14 @@ closed-form rule (see :func:`classify_lambda1`); every other point goes
 through the generic eigenvalue path, which the model's source analysis
 does not cover -- reports label it accordingly.
 
-Eigenvalues come from LAPACK, with every eigenpair checked by its residual.
-At the disease-free state LAPACK's balancing isolates the diagonal, so the
-generic path returns the closed-form spectrum exactly, triple eigenvalue
-1 - b included.  Elsewhere a multiple eigenvalue is still only accurate to
-about eps^(1/m) for multiplicity m, which is why the closed-form rule, not
-the eigenvalues, decides nonhyperbolicity at (1, 0, 0, 0).
+When a symmetric permutation makes the Jacobian triangular, its eigenvalues
+are its diagonal, returned exactly and with no residual check.  That is the
+case at the disease-free state, so the generic path there returns the
+closed-form spectrum, triple eigenvalue 1 - b included.  Every other matrix
+goes to LAPACK, with every eigenpair checked by its residual; there a
+multiple eigenvalue is only accurate to about eps^(1/m) for multiplicity m,
+which is why the closed-form rule, not the eigenvalues, decides
+nonhyperbolicity at (1, 0, 0, 0).
 """
 
 from __future__ import annotations
@@ -50,7 +52,11 @@ class NonConvergence(RuntimeError):
 
 
 def jacobian(s: SimplexPoint, p: ModelParams) -> np.ndarray:
-    """Jacobian matrix of the one-step map at ``s``."""
+    """Jacobian matrix of the one-step map at ``s``.
+
+    Raises NegativeParameter for a negative or non-finite rate.
+    """
+    _check_rates(p)
     b, al, b1, b2, k1, k2 = p.as_tuple()
     x, _, y, _ = s.as_tuple()
     A = force_of_infection(s, p)
@@ -62,19 +68,49 @@ def jacobian(s: SimplexPoint, p: ModelParams) -> np.ndarray:
     ])
 
 
+def _triangular_diagonal(J: np.ndarray) -> list[float] | None:
+    """The diagonal of ``J`` if a symmetric permutation makes it triangular.
+
+    Repeatedly removes a row whose off-diagonal entries, in the columns of
+    the rows still left, are all zero: the permutation step of LAPACK's
+    balancing (dgebal).  Every row is removed exactly when no cycle of
+    nonzero off-diagonal entries exists; otherwise returns None.
+    """
+    rows = J.tolist()
+    left = [0, 1, 2, 3]
+    while left:
+        for i in left:
+            row = rows[i]
+            for j in left:
+                if j != i and row[j]:
+                    break
+            else:  # row i is zero off the diagonal among the rows left
+                left.remove(i)
+                break
+        else:  # no row can be removed
+            return None
+    return [rows[i][i] for i in range(4)]
+
+
 def eigenvalues(J: np.ndarray) -> np.ndarray:
     """The four eigenvalues of a real 4x4 matrix, sorted by (real, imag).
 
-    LAPACK (``np.linalg.eig``) computes the eigenpairs.  Each pair is
-    accepted only if ||J v - mu v||_inf <= _EIGENPAIR_TOL * max(1, ||J||_inf)
-    * ||v||_inf; otherwise :class:`NonConvergence` is raised rather than
-    guessing.
+    When a symmetric permutation makes ``J`` triangular, they are its
+    diagonal entries, exact, and no residual check runs (a -0.0 and a 0.0
+    there compare equal, so they may come in either order).  Otherwise
+    LAPACK (``np.linalg.eig``) computes the eigenpairs, and each pair is
+    accepted only if ||J v - mu v||_inf <= _EIGENPAIR_TOL * max(1,
+    ||J||_inf) * ||v||_inf; else :class:`NonConvergence` is raised rather
+    than guessing.
     """
     J = np.asarray(J, dtype=float)
     if J.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {J.shape}")
     if not np.isfinite(J).all():
         raise ValueError("matrix entries must be finite")
+    diagonal = _triangular_diagonal(J)
+    if diagonal is not None:
+        return np.array(sorted(diagonal), dtype=complex)
     mu, V = np.linalg.eig(J)
     scale = max(1.0, float(abs(J).sum(axis=1).max()))
     res = abs(J @ V - V * mu).max(axis=0)
@@ -122,8 +158,9 @@ def classify_at(s: SimplexPoint, p: ModelParams) -> StabilityClass:
 def lambda1_spectrum(p: ModelParams) -> tuple[float, float, float, float]:
     """Spectrum at the disease-free state, in closed form.
 
-    The Jacobian there is triangular up to one harmless subdiagonal entry:
-    1 - b appears with multiplicity three and 1 - b - alpha + beta1*k1 once.
+    The Jacobian there is upper triangular once u and y swap places (a
+    symmetric permutation), so its eigenvalues are its diagonal: 1 - b
+    with multiplicity three and 1 - b - alpha + beta1*k1 once.
     """
     mu1 = 1.0 - p.b
     mu2 = 1.0 - p.b - p.alpha + p.beta1 * p.k1

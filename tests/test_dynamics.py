@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from conftest import random_admissible, random_point
 from sisi import dynamics, model
 from sisi.cli import _FIGURES
-from sisi.model import (LIMIT_TOL, _CONDITIONS, InadmissibleParams, ModelParams, SimplexPoint,
-                        _step, iterate)
+from sisi.model import (LIMIT_TOL, _CONDITIONS, InadmissibleParams, ModelParams,
+                        NegativeParameter, SimplexPoint, _step, iterate)
 from sisi.fixpoints import DegenerateRegime, fixed_point_set, interior_quadratic
 from sisi.dynamics import (
     GridSpec,
@@ -1192,3 +1192,14 @@ class TestEquilibriumCurves:
     def test_degenerate_without_turnover(self):
         with pytest.raises(DegenerateRegime):
             equilibrium_curves(ModelParams(0.0, 0.3, 0.6, 0.4, 1.0, 1.0))
+
+    @pytest.mark.parametrize("rates, named", [
+        ((-0.1, 0.2, 0.5, 0.3, 1.0, 0.5), "b=-0.1"),
+        ((0.1, 0.2, 0.5, 0.3, math.nan, 0.5), "k1=nan"),
+        ((0.1, 0.2, 0.5, 0.3, 1.0, -math.inf), "k2=-inf"),
+    ], ids=["negative", "nan", "inf"])
+    def test_bad_rate_is_named(self, rates, named):
+        # a negative b still gives two crossings, so only the rate check
+        # refuses it
+        with pytest.raises(NegativeParameter, match=named):
+            equilibrium_curves(ModelParams(*rates))

@@ -1,9 +1,11 @@
 """Jacobian, eigenvalue solver, and hyperbolicity classification."""
 
+import math
+
 import numpy as np
 import pytest
 
-from sisi.model import ModelParams, SimplexPoint, apply_V
+from sisi.model import ModelParams, NegativeParameter, SimplexPoint, apply_V
 from sisi.stability import (
     LAMBDA1,
     NonConvergence,
@@ -68,6 +70,20 @@ class TestJacobian:
                      ModelParams(0, 0, 0, 0, 0, 0))
         assert np.array_equal(J, np.eye(4))
 
+    @pytest.mark.parametrize("rates, named", [
+        ((-0.5, 0.0, 0.0, 0.0, 0.0, 0.0), "b=-0.5"),
+        ((0.1, 0.2, math.nan, 0.0, 1.0, 0.0), "beta1=nan"),
+        ((0.1, 0.2, math.inf, 0.0, 1.0, 0.0), "beta1=inf"),
+    ], ids=["negative", "nan", "inf"])
+    def test_bad_rate_is_named(self, rates, named):
+        # a negative rate still gives a finite matrix and a class, so only
+        # the rate check refuses it
+        p = ModelParams(*rates)
+        with pytest.raises(NegativeParameter, match=named):
+            jacobian(LAMBDA1, p)
+        with pytest.raises(NegativeParameter, match=named):
+            classify_at(SimplexPoint(0.25, 0.25, 0.25, 0.25), p)
+
     def test_finite_difference_agreement(self, rng):
         for _ in range(100):
             p = random_admissible(rng)
@@ -102,7 +118,7 @@ class TestEigenvalues:
             # triple root 1-b: cluster accuracy ~eps^(1/3)
             assert np.max(np.abs(np.sort(eigs.real) - expected)) <= 1e-3
             assert np.max(np.abs(eigs.imag)) <= 1e-3
-            # LAPACK's balancing isolates the diagonal here: exact spectrum
+            # triangular up to a permutation: the diagonal, exact
             assert np.array_equal(np.sort(eigs.real), expected)
             assert np.all(eigs.imag == 0.0)
 
@@ -124,13 +140,66 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.eye(3))
 
-    def test_residual_check_refuses_a_wrong_eigenpair(self, monkeypatch):
-        J = np.diag([0.1, 0.2, 0.3, 0.4])
+    def test_residual_check_refuses_a_wrong_eigenpair(self, rng, monkeypatch):
+        # a dense matrix: a diagonal one never reaches LAPACK
+        S = rng.normal(size=(4, 4))
+        while abs(np.linalg.det(S)) < 0.3:
+            S = rng.normal(size=(4, 4))
+        J = S @ np.diag([0.1, 0.2, 0.3, 0.4]) @ np.linalg.inv(S)
         mu, V = np.linalg.eig(J)
         mu[2] += 1e-6
         monkeypatch.setattr(np.linalg, "eig", lambda _: (mu, V))
         with pytest.raises(NonConvergence):
             eigenvalues(J)
+
+    def test_permuted_triangular_gives_the_lapack_bits(self, rng, monkeypatch):
+        # the diagonal, read off, is what LAPACK returns after its balancing
+        # isolates every eigenvalue; ties among equal diagonal entries and
+        # zeros off the diagonal included (a diagonal -0.0 could sort apart
+        # from 0.0 in another order, so none is drawn)
+        cases = []
+        for _ in range(300):
+            T = np.triu(rng.uniform(-2.0, 2.0, size=(4, 4)), 1)
+            T[rng.random((4, 4)) < 0.3] = 0.0
+            diagonal = rng.uniform(-2.0, 2.0, size=4)
+            if rng.random() < 0.5:
+                diagonal = rng.choice([0.0, 0.5, -1.0], size=4)
+            T[np.diag_indices(4)] = diagonal
+            perm = rng.permutation(4)
+            J = T[np.ix_(perm, perm)]
+            cases.append((J, np.sort_complex(np.linalg.eig(J)[0]).tobytes()))
+
+        def no_lapack(_):
+            raise AssertionError("np.linalg.eig called")
+        monkeypatch.setattr(np.linalg, "eig", no_lapack)
+        for J, lapack in cases:
+            eigs = eigenvalues(J)
+            assert eigs.dtype == np.complex128
+            assert eigs.tobytes() == lapack, J
+
+    @pytest.mark.parametrize("kind", ["three-cycle", "dense"])
+    def test_a_cycle_reaches_lapack(self, kind, rng, monkeypatch):
+        if kind == "three-cycle":
+            # (0, 1), (1, 2) and (2, 0): a cycle, but no two-cycle
+            J = np.diag([0.1, 0.2, 0.3, 0.4])
+            J[0, 1], J[1, 2], J[2, 0] = 0.5, -0.25, 0.75
+        else:
+            J = rng.uniform(-1.0, 1.0, size=(4, 4))
+        expected = np.sort_complex(np.linalg.eig(J)[0])
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(A):
+            calls.append(A)
+            return eig(A)
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        eigs = eigenvalues(J)
+        assert len(calls) == 1
+        assert eigs.tobytes() == expected.tobytes()
+
+
+def _bits(eigs) -> bytes:
+    return np.sort_complex(np.array(eigs, dtype=complex)).tobytes()
 
 
 class TestClassification:
@@ -167,6 +236,15 @@ class TestClassification:
             closed = classify_lambda1(p).classification
             generic = classify_at(SimplexPoint(1, 0, 0, 0), p).classification
             assert closed == generic, p
+
+    def test_generic_lambda1_spectrum_is_the_closed_form(self, rng):
+        # the last rates give a J whose entries all lie below 2^-459: LAPACK
+        # rescales such a matrix and returns 9.999999999999998e-162 where
+        # the diagonal holds 1e-161
+        rates = [random_admissible(rng) for _ in range(300)]
+        for p in [*rates, ModelParams(1.0, 0.0, 0.1, 2.0, 1e-160, 1e-160)]:
+            assert _bits(classify_at(LAMBDA1, p).eigenvalues) == _bits(
+                classify_lambda1(p).eigenvalues), p
 
     def test_tiny_turnover_generic_path_agrees(self):
         # the triple eigenvalue 1 - b sits 3.8e-6 inside the unit circle; a

@@ -18,7 +18,9 @@ This module provides
   as a :class:`ScanReport` of per-row columns (a counterexample is
   reported, never suppressed);
 * :func:`equilibrium_curves` -- the linear-vs-saturating curve pair whose
-  intersections are the interior equilibrium forces of infection.
+  intersections are the endemic equilibrium forces of infection; its
+  crossings are the fixed-point catalog's endemic roots, not a sampled
+  search.
 """
 
 from __future__ import annotations
@@ -47,14 +49,13 @@ from sisi.model import (
 )
 from sisi.fixpoints import (
     DegenerateRegime,
+    _endemic_roots,
     _interior_coordinates,
     _lambda9_coordinates,
     _lambda10_coordinates,
     _quadratic,
     _roots,
-    bracketed_root,
     fixed_point_set,
-    interior_quadratic,
 )
 
 __all__ = [
@@ -1075,8 +1076,10 @@ class EquilibriumCurves:
 
     The saturating side starts at b*beta1*k1/(b+alpha) with initial slope
     alpha*beta1*beta2*k2/(b*(b+alpha)) and flattens toward the horizontal
-    asymptote beta1*(b*k1+alpha*k2)/(b+alpha); the intersection pattern on
-    A > 0 reproduces the root analysis of the cleared quadratic.
+    asymptote beta1*(b*k1+alpha*k2)/(b+alpha).  ``crossings`` are the
+    catalog's endemic roots, the positive roots of the cleared quadratic
+    (or its linear root where alpha = 0 or beta2 = 0) in increasing order,
+    not a search on the samples; ``sign_changes`` is their count.
     """
 
     xs: np.ndarray
@@ -1088,29 +1091,21 @@ class EquilibriumCurves:
     slope_saturating_at_zero: float
     sign_changes: int
     crossings: tuple[float, ...]
-    quadratic: "object | None"  # InteriorQuadratic when defined
 
 
-def equilibrium_curves(p: ModelParams, x_max: float | None = None) -> EquilibriumCurves:
-    """Sample the two balance curves at 513 points on [0, x_max], plus
-    analytic markers.  Raises NegativeParameter for a negative or
-    non-finite rate."""
+def equilibrium_curves(p: ModelParams) -> EquilibriumCurves:
+    """The two balance curves sampled at 513 points on [0, x_max], with
+    x_max = max(1, k1, k2, 1.5*largest crossing), plus analytic markers.
+
+    The crossings are the endemic roots the fixed-point catalog solves
+    for, so the curves and the catalog share one solver.  Raises
+    NegativeParameter for a negative or non-finite rate."""
     _check_rates(p)
     b, al, b1, b2, k1, k2 = p.as_tuple()
     if b == 0.0:
         raise DegenerateRegime(
             "b = 0 leaves the saturating curve undefined at the origin")
-
-    quad = None
-    try:
-        quad = interior_quadratic(p)
-    except DegenerateRegime:
-        pass
-
-    if x_max is None:
-        x_max = max(1.0, k1, k2)
-        if quad is not None and quad.positive_root is not None:
-            x_max = max(x_max, 1.5 * quad.positive_root)
+    crossings = tuple(sorted(A for _, A in _endemic_roots(p)))
 
     def linear(t):
         return b + b1 * t
@@ -1119,23 +1114,15 @@ def equilibrium_curves(p: ModelParams, x_max: float | None = None) -> Equilibriu
         return (b * b1 * k1 / (b + al)
                 + al * b1 * b2 * k2 * t / ((b + b2 * t) * (b + al)))
 
-    xs = np.linspace(0.0, x_max, 513)
-    lin, sat = linear(xs), saturating(xs)
-    sign = np.sign(lin - sat)
-    # A > 0 only: an exact zero at xs[0] = 0 is the disease-free state
-    zeros = xs[1:][sign[1:] == 0.0].tolist()
-    flips = [bracketed_root(lambda t: linear(t) - saturating(t), float(xs[i]), float(xs[i + 1]))
-             for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]]
-    crossings = sorted(zeros + flips)
+    xs = np.linspace(0.0, max(1.0, k1, k2, *(1.5 * A for A in crossings)), 513)
     return EquilibriumCurves(
         xs=xs,
-        linear=lin,
-        saturating=sat,
+        linear=linear(xs),
+        saturating=saturating(xs),
         value_at_zero=saturating(0.0),
         asymptote=b1 * (b * k1 + al * k2) / (b + al),
         slope_linear=b1,
         slope_saturating_at_zero=al * b1 * b2 * k2 / (b * (b + al)),
         sign_changes=len(crossings),
-        crossings=tuple(crossings),
-        quadratic=quad,
+        crossings=crossings,
     )

@@ -313,25 +313,19 @@ def _entry(label, q, rates) -> FixedPoint:
     return FixedPoint(label, point=np.array(q), residual=_residual(q, rates))
 
 
-def _endemic_points(p: ModelParams):
-    """b > 0: the points at the positive roots of Q, larger root first.
+def _endemic_roots(p: ModelParams):
+    """b > 0: (label, A) for each positive root A of Q, larger root first.
 
-    With alpha = 0 or beta2 = 0, Q is a positive multiple of A - A*, with
-    A* = b*(beta1*k1 - b - alpha)/((b + alpha)*beta1): one point, at the
-    closed form of lambda_9 or lambda_10, iff beta1*k1 > b + alpha.  That
-    sign is read off the rates, since the b^2 in Q's c0 can underflow.
+    With alpha = 0 or beta2 = 0, Q has one positive root at most,
+    A* = b/(b + alpha)*((beta1*k1 - b - alpha)/beta1), that of lambda_9 or
+    lambda_10, iff beta1*k1 > b + alpha.  That sign is read off the rates,
+    since the b^2 in Q's c0 can underflow.
     """
     b, al, b1, b2, k1, _ = rates = p.as_tuple()
-    bk = b1 * k1
     if al == 0.0 or b2 == 0.0:
-        if bk > b + al and al == 0.0:
-            yield _entry("lambda_9", (*_lambda9_coordinates(b, bk), 0.0, 0.0), rates)
-        elif bk > b + al:
-            try:
-                q = (*_lambda10_coordinates(b, al, bk), 0.0)
-            except ZeroDivisionError:  # bk*(b + alpha) underflows
-                q = _interior_coordinates(b, al, b1, b2, b / (b + al) * ((bk - b - al) / b1))
-            yield _entry("lambda_10", q, rates)
+        if b1 * k1 > b + al:
+            label = "lambda_9" if al == 0.0 else "lambda_10"
+            yield label, b / (b + al) * ((b1 * k1 - b - al) / b1)
         return
     if min(rates) > 0.0 and math.prod(rates) == 0.0:
         return  # the rates' product underflows, and Q's coefficients lose its roots
@@ -339,8 +333,24 @@ def _endemic_points(p: ModelParams):
         roots = interior_quadratic(p).roots
     except DegenerateRegime:  # c2 = 0: beta1 = 0 (no positive root) or an underflow
         return
-    for label, A in zip(("lambda_11", "lambda_11b"), [r for r in reversed(roots) if r > 0.0]):
-        yield _interior_point(label, p, A)
+    yield from zip(("lambda_11", "lambda_11b"), [r for r in reversed(roots) if r > 0.0])
+
+
+def _endemic_points(p: ModelParams):
+    """b > 0: the points at :func:`_endemic_roots`, lambda_9 and lambda_10
+    at their closed forms."""
+    b, al, b1, b2, k1, _ = rates = p.as_tuple()
+    for label, A in _endemic_roots(p):
+        if label == "lambda_9":
+            yield _entry(label, (*_lambda9_coordinates(b, b1 * k1), 0.0, 0.0), rates)
+        elif label == "lambda_10":
+            try:
+                q = (*_lambda10_coordinates(b, al, b1 * k1), 0.0)
+            except ZeroDivisionError:  # beta1*k1*(b + alpha) underflows
+                q = _interior_coordinates(b, al, b1, b2, A)
+            yield _entry(label, q, rates)
+        else:
+            yield _interior_point(label, p, A)
 
 
 # The paper's labels of coordinate faces, by support, in listing order;

@@ -1182,12 +1182,59 @@ class TestEquilibriumCurves:
         assert cur.crossings[0] == pytest.approx(root, rel=1e-9)
 
     def test_crossing_on_a_sample_point(self):
-        # gap(A) = 0.25 + 0.5*A - 0.75 vanishes exactly at the sample A = 1
+        # gap(A) = 0.25 + 0.5*A - 0.75 vanishes exactly at A = 1, which the
+        # alpha = 0 closed form b/(b+alpha)*((beta1*k1 - b - alpha)/beta1)
+        # gives exactly; the samples end at max(1, k1, k2, 1.5*A) = 1.5
         p = ModelParams(0.25, 0.0, 0.5, 0.5, 1.5, 1.0)
-        cur = equilibrium_curves(p, x_max=2.0)
-        assert cur.xs[256] == 1.0 and cur.linear[256] == cur.saturating[256]
+        cur = equilibrium_curves(p)
         assert cur.sign_changes == 1
         assert cur.crossings == (1.0,)
+        assert cur.xs[-1] == 1.5
+
+    def test_close_root_pair_in_first_interval(self):
+        # Q's roots 3.31e-5 and 1.463e-3 both lie between the first two
+        # samples, where the balance gap keeps one sign; both are crossings,
+        # with the bits of the catalog's roots (lambda_11b and lambda_11)
+        p = ModelParams(0.0015051537105018609, 0.8837478347967115, 1.2795909684361266,
+                        1.2210161756541345, 0.6687186817075643, 0.0027727432485824544)
+        cur = equilibrium_curves(p)
+        roots = interior_quadratic(p).roots
+        assert 3.3e-5 < roots[0] < 3.32e-5 and 1.46e-3 < roots[1] < 1.47e-3
+        assert roots[1] < cur.xs[1]
+        assert cur.sign_changes == 2
+        assert [c.hex() for c in cur.crossings] == [r.hex() for r in roots]
+        assert [fp.label for fp in fixed_point_set(p)] == ["lambda_1", "lambda_11", "lambda_11b"]
+
+    @pytest.mark.parametrize("zero", [None, "alpha", "beta2"])
+    def test_crossings_match_a_50_digit_oracle(self, rng, zero):
+        # the positive roots of Q, solved in 50-digit arithmetic from the
+        # rates' exact binary values; with alpha = 0 or beta2 = 0 too
+        from mpmath import mp
+
+        checked = 0
+        while checked < 200:
+            b, al, b1, b2, k1, k2 = random_admissible(rng).as_tuple()
+            p = ModelParams(b, 0.0 if zero == "alpha" else al, b1,
+                            0.0 if zero == "beta2" else b2, k1, k2)
+            if not p.admissible or p.b == 0.0:
+                continue
+            with mp.workdps(50):
+                b, al, b1, b2, k1, k2 = map(mp.mpf, p.as_tuple())
+                c2 = (b + al) * b1 * b2
+                c1 = (b + al) * b * (b1 + b2) - b1 * b2 * (b * k1 + al * k2)
+                c0 = b * b * (b + al - b1 * k1)
+                if c2 == 0:
+                    exact = [-c0 / c1] if c1 != 0 else []
+                else:
+                    disc = c1 * c1 - 4 * c2 * c0
+                    exact = [] if disc < 0 else [(-c1 + s * mp.sqrt(disc)) / (2 * c2)
+                                                 for s in (-1, 1)]
+                exact = sorted(r for r in exact if r > 0)
+            cur = equilibrium_curves(p)
+            assert cur.sign_changes == len(exact), p
+            for got, want in zip(cur.crossings, exact):
+                assert abs(got - want) <= 1e-12 * want, (p, got, want)
+            checked += 1
 
     def test_degenerate_without_turnover(self):
         with pytest.raises(DegenerateRegime):

@@ -31,7 +31,6 @@ from sisi.model import (
     _FIELDS as _PARAM_KEYS,
     InadmissibleParams,
     ModelParams,
-    NegativeParameter,
     SimplexPoint,
     iterate,
     validate_params,
@@ -246,16 +245,12 @@ def _text(cfg: RunConfig, lines) -> str:
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
-    try:
-        report = validate_params(cfg.params)
-    except NegativeParameter as exc:
-        code, lines = BAD_INPUT, [f"malformed: {exc}"]
+    report = validate_params(cfg.params)
+    if report.ok:
+        code, lines = OK, ["admissible: the operator maps the simplex into itself"]
     else:
-        if report.ok:
-            code, lines = OK, ["admissible: the operator maps the simplex into itself"]
-        else:
-            code, lines = DOMAIN_NEGATIVE, ["inadmissible:",
-                                            *(f"  {v}" for v in report.violations)]
+        code, lines = DOMAIN_NEGATIVE, ["inadmissible:",
+                                        *(f"  {v}" for v in report.violations)]
     _emit(cfg, _text(cfg, lines))
     return code
 

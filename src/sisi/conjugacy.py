@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sisi.model import ModelParams, _check_rates, _require_count
+from sisi.model import ModelParams, _require_count
 from sisi.stability import BOUNDARY_TOL
 
 __all__ = [
@@ -51,7 +51,6 @@ class DegenerateInput(ValueError):
 
 
 def _require_edge_regime(p: ModelParams) -> None:
-    _check_rates(p)
     off = [f"{name}={rate!r}" for name, rate in (("alpha", p.alpha), ("k2", p.k2))
            if rate != 0.0]
     if off:

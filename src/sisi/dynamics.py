@@ -41,7 +41,6 @@ from sisi.model import (
     RESIDUAL_TOL,
     SimplexPoint,
     _CONDITIONS,
-    _check_rates,
     _rate_ok,
     _require_count,
     _step,
@@ -456,9 +455,10 @@ def predicted_limit(s0: SimplexPoint, p: ModelParams) -> PredictedLimit | None:
 
 
 def _admissible(cells: np.ndarray) -> np.ndarray:
-    """validate_params on each row of (n, 6) rates: every rate finite and
-    >= 0, no inequality violated.  An infinite rate gives inf*0 = NaN terms,
-    which violate nothing; its row fails on the rates."""
+    """Per row of (n, 6) rates, whether a ModelParams of them can be made
+    (every rate finite and >= 0) and passes validate_params.  An infinite
+    rate gives inf*0 = NaN terms, which violate nothing; its row fails on
+    the rates."""
     admissible = np.all(_rate_ok(cells), axis=1)
     rates = cells.T
     with np.errstate(invalid="ignore", over="ignore"):
@@ -1099,12 +1099,12 @@ def equilibrium_curves(p: ModelParams) -> EquilibriumCurves:
 
     The crossings are the endemic roots the fixed-point catalog solves
     for, so the curves and the catalog share one solver.  Raises
-    NegativeParameter for a negative or non-finite rate."""
-    _check_rates(p)
+    DegenerateRegime where b*(b + alpha), the saturating side's denominator
+    at the origin, is 0, in exact arithmetic or by underflow."""
     b, al, b1, b2, k1, k2 = p.as_tuple()
-    if b == 0.0:
+    if b * (b + al) == 0.0:
         raise DegenerateRegime(
-            "b = 0 leaves the saturating curve undefined at the origin")
+            "b*(b + alpha) = 0 leaves the saturating curve undefined at the origin")
     crossings = tuple(sorted(A for _, A in _endemic_roots(p)))
 
     def linear(t):

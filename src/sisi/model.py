@@ -77,6 +77,13 @@ class ModelParams:
     k1     infectivity of the first infected class
     k2     infectivity of the second infected class
 
+    Every rate must be finite and >= 0, or construction raises
+    :class:`NegativeParameter` naming each bad one; the values are stored
+    as given.  Only such rates can make the operator a quadratic
+    stochastic operator (whether they do is :func:`validate_params`'s
+    question), so no function that takes a ``ModelParams`` checks them
+    again.
+
     What derives from the rates alone (the admissibility report, the
     interior quadratic, the closed-form class of lambda_1) is computed
     once per instance; see :func:`_per_params`.
@@ -89,16 +96,18 @@ class ModelParams:
     k1: float
     k2: float
 
+    def __post_init__(self) -> None:
+        bad = [f"{f}={r!r}" for f, r in zip(_FIELDS, self.as_tuple()) if not _rate_ok(r)]
+        if bad:
+            raise NegativeParameter(f"rate(s) must be finite and >= 0: {', '.join(bad)}")
+
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.b, self.alpha, self.beta1, self.beta2, self.k1, self.k2)
 
     @property
     def admissible(self) -> bool:
         """True iff the evolution operator maps the simplex into itself."""
-        try:
-            return validate_params(self).ok
-        except NegativeParameter:
-            return False
+        return validate_params(self).ok
 
 
 @dataclass(frozen=True)
@@ -160,16 +169,6 @@ def _require_count(name: str, value, least: int) -> int:
     return count
 
 
-def _check_rates(p: ModelParams) -> None:
-    """Raise :class:`NegativeParameter` unless every rate is finite and >= 0."""
-    bad = [f for f in _FIELDS if not _rate_ok(getattr(p, f))]
-    if bad:
-        raise NegativeParameter(
-            "rate(s) must be finite and >= 0: "
-            + ", ".join(f"{f}={getattr(p, f)!r}" for f in bad)
-        )
-
-
 def _per_params(fn):
     """Memoize ``fn(p)`` on the frozen :class:`ModelParams` ``p``.
 
@@ -193,11 +192,8 @@ def _per_params(fn):
 def validate_params(p: ModelParams) -> AdmissibilityReport:
     """Check the nine simplex-preservation inequalities.
 
-    Raises :class:`NegativeParameter` for a negative or non-finite rate (a
-    distinct error: such rates are malformed input, not merely
-    inadmissible).  The report is computed once per ``p``.
+    The report is computed once per ``p``.
     """
-    _check_rates(p)
     args = p.as_tuple()
     violations = tuple([
         Violation(name, value, bound)

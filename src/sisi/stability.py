@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sisi.model import ModelParams, SimplexPoint, _check_rates, _per_params, force_of_infection
+from sisi.model import ModelParams, SimplexPoint, _per_params, force_of_infection
 
 __all__ = [
     "NonConvergence",
@@ -52,11 +52,7 @@ class NonConvergence(RuntimeError):
 
 
 def jacobian(s: SimplexPoint, p: ModelParams) -> np.ndarray:
-    """Jacobian matrix of the one-step map at ``s``.
-
-    Raises NegativeParameter for a negative or non-finite rate.
-    """
-    _check_rates(p)
+    """Jacobian matrix of the one-step map at ``s``."""
     b, al, b1, b2, k1, k2 = p.as_tuple()
     x, _, y, _ = s.as_tuple()
     A = force_of_infection(s, p)
@@ -177,10 +173,8 @@ def classify_lambda1(p: ModelParams) -> StabilityClass:
 
     Agrees with the generic eigenvalue path wherever the point is
     hyperbolic; on the boundary set the closed form is the honest answer
-    while root-finding noise is not.  Raises NegativeParameter for a
-    negative or non-finite rate; the class is computed once per ``p``.
+    while root-finding noise is not.  The class is computed once per ``p``.
     """
-    _check_rates(p)
     eigs = tuple(map(complex, lambda1_spectrum(p)))
     gap = p.beta1 * p.k1 - (p.b + p.alpha)
     if abs(p.b) <= BOUNDARY_TOL or abs(gap) <= BOUNDARY_TOL:

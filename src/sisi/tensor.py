@@ -27,7 +27,6 @@ from sisi.model import (
     InadmissibleParams,
     ModelParams,
     SimplexPoint,
-    _check_rates,
 )
 
 __all__ = [
@@ -118,10 +117,7 @@ def build_tensor(p: ModelParams, validate: bool = True) -> QsoTensor:
     :class:`InadmissibleParams` naming the offending coefficient; this is
     exactly the failure mode of inadmissible rates.  ``validate=False``
     returns the raw array for diagnostic use with :func:`check_axioms`.
-    Either way a negative or non-finite rate raises
-    :class:`~sisi.model.NegativeParameter`.
     """
-    _check_rates(p)
     P = heredity_values(p)
     if validate:
         bad = (P < 0.0) | (P > 1.0)

@@ -33,8 +33,10 @@ class TestValidate:
         assert main(["validate", "--params", "b=-0.1"]) == 2
 
     def test_nan_rate_exit_two(self, capsys):
+        # the rate fails where the configuration is resolved, as in every
+        # other subcommand: an error line, and no report
         assert main(["validate", "--params", "b=nan", "alpha=0.1"]) == 2
-        assert "finite" in capsys.readouterr().out
+        assert capsys.readouterr() == ("", "error: rate(s) must be finite and >= 0: b=nan\n")
 
     def test_malformed_token_exit_two(self):
         assert main(["validate", "--params", "bogus"]) == 2
@@ -531,6 +533,17 @@ class TestInputKeys:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("command", [c for c in _READS if "params" in _READS[c]])
+    def test_bad_rate_is_one_error_line(self, command, out, tmp_path, capsys):
+        # every subcommand that reads the rates refuses a bad one the same
+        # way, before any report or --out file exists
+        target = tmp_path / "report.txt"
+        argv = [command, "--params", "b=-0.1", *(["--out", str(target)] if out else [])]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: rate(s) must be finite and >= 0: b=-0.1\n")
+        assert not target.exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     @pytest.mark.parametrize("command", ["validate", "scan"])

@@ -1,5 +1,6 @@
 """Limit detection, the prediction dispatcher, suites, scans, and curves."""
 
+import collections
 import hashlib
 import io
 import itertools
@@ -20,7 +21,7 @@ from conftest import random_admissible, random_point
 from sisi import dynamics, model
 from sisi.cli import _FIGURES
 from sisi.model import (LIMIT_TOL, _CONDITIONS, InadmissibleParams, ModelParams,
-                        NegativeParameter, SimplexPoint, _step, iterate)
+                        NegativeParameter, SimplexPoint, _step, iterate, validate_params)
 from sisi.fixpoints import DegenerateRegime, fixed_point_set, interior_quadratic
 from sisi.dynamics import (
     GridSpec,
@@ -721,11 +722,15 @@ class TestConjectureScan:
         report = conjecture_scan(1, grid=grid, n_init=1, max_iter=1)
         on_bound = 0
         for cell, rates in enumerate(report.cells):
+            admitted = report.verdict[cell, 0] != "inadmissible"
+            if not (np.all(np.isfinite(rates)) and np.all(rates >= 0.0)):
+                with pytest.raises(NegativeParameter):
+                    ModelParams(*rates)
+                assert not admitted, rates
+                continue
             p = ModelParams(*rates)
-            assert (report.verdict[cell, 0] != "inadmissible") == p.admissible, p
-            if not np.all(np.isfinite(rates)):
-                assert not p.admissible, p
-            if p.admissible and any(fn(*rates) == bound for _, fn, bound in _CONDITIONS):
+            assert admitted == validate_params(p).ok, p
+            if admitted and any(fn(*rates) == bound for _, fn, bound in _CONDITIONS):
                 on_bound += 1
         assert on_bound > 0
         assert 0 < report.summary["inadmissible"] < report.verdict.size
@@ -1239,6 +1244,56 @@ class TestEquilibriumCurves:
     def test_degenerate_without_turnover(self):
         with pytest.raises(DegenerateRegime):
             equilibrium_curves(ModelParams(0.0, 0.3, 0.6, 0.4, 1.0, 1.0))
+
+    @pytest.mark.parametrize("rates", [
+        (1e-200, 0.0, 0.0, 0.0, 0.0, 0.0),
+        (1e-200, 1e-170, 0.5, 0.5, 1.0, 1.0),
+    ], ids=["alpha=0", "alpha=1e-170"])
+    def test_degenerate_where_turnover_product_underflows(self, rates):
+        # b > 0, but b*(b + alpha) rounds to 0: the saturating curve was
+        # sampled as 0/0 (NaN, with a RuntimeWarning), and its slope at 0
+        # raised a bare ZeroDivisionError
+        p = ModelParams(*rates)
+        assert p.b > 0.0 and p.b * (p.b + p.alpha) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateRegime, match=r"^b\*\(b \+ alpha\) = 0 "):
+                equilibrium_curves(p)
+
+    def test_tiny_turnover_is_degenerate_or_finite(self):
+        # the b in {1e-160, 1e-200} slice of {0, 0.5, 1, 2, 1e-160, 1e-200}^6,
+        # admissible tuples only, with numpy warnings as errors:
+        # DegenerateRegime exactly where b*(b + alpha) underflows to 0, and
+        # elsewhere finite samples and markers, unless the catalog's own
+        # root cross-check fails (interior_quadratic raises it too)
+        axis = (0.0, 0.5, 1.0, 2.0, 1e-160, 1e-200)
+        outcomes = collections.Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in (1e-160, 1e-200):
+                for rest in itertools.product(axis, repeat=5):
+                    p = ModelParams(b, *rest)
+                    if not validate_params(p).ok:
+                        continue
+                    if b * (b + p.alpha) == 0.0:
+                        with pytest.raises(DegenerateRegime):
+                            equilibrium_curves(p)
+                        outcomes["degenerate"] += 1
+                        continue
+                    try:
+                        cur = equilibrium_curves(p)
+                    except ArithmeticError:
+                        with pytest.raises(ArithmeticError):
+                            interior_quadratic(p)
+                        outcomes["cross-check"] += 1
+                        continue
+                    markers = (cur.value_at_zero, cur.asymptote, cur.slope_linear,
+                               cur.slope_saturating_at_zero, *cur.crossings)
+                    assert all(map(math.isfinite, markers)), p
+                    assert all(np.isfinite(a).all()
+                               for a in (cur.xs, cur.linear, cur.saturating)), p
+                    outcomes["finite"] += 1
+        assert outcomes["degenerate"] == 2931 and outcomes["finite"] > 0, outcomes
 
     @pytest.mark.parametrize("rates, named", [
         ((-0.1, 0.2, 0.5, 0.3, 1.0, 0.5), "b=-0.1"),

@@ -1,7 +1,9 @@
 """Evolution operator, admissibility, and simplex invariants."""
 
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,11 +54,15 @@ class TestValidateParams:
         assert flaky(ModelParams(*p.as_tuple())) is not value and len(calls) == 3
 
     def test_rejected_rates_raise_every_time(self):
-        p = ModelParams(0.2, -0.1, 0.6, 0.4, 1.0, 1.0)
+        # nothing about rejected rates is memoized: no instance holding
+        # them exists, made directly or from an admissible one
+        p = ModelParams(0.2, 0.3, 0.6, 0.4, 1.0, 1.0)
         for _ in range(2):
             with pytest.raises(NegativeParameter):
-                validate_params(p)
-            assert not p.admissible
+                ModelParams(0.2, -0.1, 0.6, 0.4, 1.0, 1.0)
+            with pytest.raises(NegativeParameter):
+                dataclasses.replace(p, alpha=-0.1)
+            assert p.admissible
 
     def test_reference_rates_admissible(self):
         assert validate_params(FIG1).ok
@@ -78,10 +84,30 @@ class TestValidateParams:
     def test_non_finite_rate_is_malformed(self, value):
         # inf*0 and NaN compare false against every bound, so no inequality
         # can catch these; the rate check must
-        p = ModelParams(0.1, 0.1, value, 0.0, 0.0, 0.0)
         with pytest.raises(NegativeParameter, match="finite"):
-            validate_params(p)
-        assert not p.admissible
+            ModelParams(0.1, 0.1, value, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf, -math.inf],
+                             ids=["negative", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", model._FIELDS)
+    def test_bad_rate_is_named_on_construction(self, field, value):
+        p = ModelParams(0.2, 0.3, 0.6, 0.4, 1.0, 1.0)
+        message = f"^{re.escape(f'rate(s) must be finite and >= 0: {field}={value!r}')}$"
+        with pytest.raises(NegativeParameter, match=message):
+            ModelParams(**{**dataclasses.asdict(p), field: value})
+        with pytest.raises(NegativeParameter, match=message):
+            dataclasses.replace(p, **{field: value})
+
+    def test_every_bad_rate_is_named(self):
+        with pytest.raises(NegativeParameter,
+                           match=r"^rate\(s\) must be finite and >= 0: b=-0.5, beta1=nan$"):
+            ModelParams(-0.5, 0.0, math.nan, 0.0, 0.0, 0.0)
+
+    def test_rates_are_stored_as_given(self):
+        # checked, not coerced: an int stays an int, -0.0 keeps its sign
+        p = ModelParams(-0.0, 0, 0.5, 0.0, 1, 0.25)
+        assert math.copysign(1.0, p.b) == -1.0
+        assert [type(r) for r in p.as_tuple()] == [float, int, float, float, int, float]
 
     def test_each_inequality_can_fail_alone_or_not(self, rng):
         # wide draws: report must flag exactly the violated conditions

@@ -8,7 +8,9 @@ route to the same dynamics -- a cross-check we exploit throughout the tests.
 
 import numpy as np
 
-from sisi import ModelParams, SimplexPoint, apply_V, apply_qso, build_tensor, check_axioms
+from sisi import (ModelParams, QsoTensor, SimplexPoint, apply_V, apply_qso, build_tensor,
+                  check_axioms)
+from sisi.tensor import heredity_values
 
 params = ModelParams(b=0.2, alpha=0.1, beta1=0.6, beta2=0.2, k1=1.0, k2=0.5)
 tensor = build_tensor(params)
@@ -33,7 +35,7 @@ print("\nsup |tensor route - direct route| over 200 random states:", worst)
 # Inadmissible rates push some coefficient out of [0, 1]; the axiom report
 # names the offender.
 loud = ModelParams(b=0.0, alpha=0.0, beta1=4.0, beta2=0.0, k1=0.0, k2=1.0)
-report = check_axioms(build_tensor(loud, validate=False))
+report = check_axioms(QsoTensor(heredity_values(loud)))
 print("\ninadmissible rates break the bounds:")
 for violation in report.violations[:4]:
     print("  ", violation)

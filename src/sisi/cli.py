@@ -8,8 +8,10 @@ so identical configuration and seed produce byte-identical output.
 
 Exit codes: 0 ok, 1 negative domain result (inadmissible rates, failed
 identity, counterexample found), 2 malformed input, a ``--config`` file that
-cannot be read or an ``--out`` path that cannot be written, 3
-non-convergence, 141 the reader of stdout left early.
+cannot be read, an ``--out`` path that cannot be written or a computed
+result that fails its own check (an ArithmeticError, such as the interior
+root's balance check at extreme rate scales), 3 non-convergence, 141 the
+reader of stdout left early.
 
 Figure presets 1-4 are trajectory runs converging to the cataloged limits;
 presets 5 and 6 emit the equilibrium balance curves (CSV columns x,f,g)
@@ -411,7 +413,7 @@ def main(argv=None) -> int:
     except InadmissibleParams as exc:
         print(f"error: inadmissible rates: {exc}", file=sys.stderr)
         return BAD_INPUT
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
     except BrokenPipeError:

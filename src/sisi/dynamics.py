@@ -644,11 +644,6 @@ class GridSpec:
         return np.array(list(product(self.b, self.alpha, self.beta1,
                                      self.beta2, self.k1, self.k2))).reshape(-1, 6)
 
-    @property
-    def n_cells(self) -> int:
-        return (len(self.b) * len(self.alpha) * len(self.beta1)
-                * len(self.beta2) * len(self.k1) * len(self.k2))
-
 
 # Per conjecture: the premise of the rules it claims rows by, and its
 # default grid, 5 values per axis covering the reference simulation settings
@@ -789,7 +784,6 @@ class ScanReport:
 
     conjecture: int
     seed: int
-    grid: GridSpec
     inits: np.ndarray
     cells: np.ndarray
     verdict: np.ndarray
@@ -1043,7 +1037,6 @@ def conjecture_scan(
     return ScanReport(
         conjecture=conjecture,
         seed=seed,
-        grid=grid,
         inits=inits,
         cells=cells,
         verdict=np.array(_VERDICTS, dtype=object)[code],

@@ -41,7 +41,6 @@ __all__ = [
     "FixedPoint",
     "interior_quadratic",
     "interior_fixed_point",
-    "bracketed_root",
     "fixed_point_set",
     "residual",
     "barycentric_grid",
@@ -137,43 +136,6 @@ def _lambda10_coordinates(b, al, bk):
     return joint / bk, b * excess / (bk * joint), al * excess / (bk * joint)
 
 
-def bracketed_root(f, lo: float, hi: float) -> float:
-    """A root of ``f`` in [lo, hi] (lo < hi) where f(lo), f(hi) differ in sign.
-
-    Illinois regula falsi: secant steps on the bracket, halving the stored
-    value of an end that is kept twice in a row, so both ends close in.  A
-    secant point outside the open bracket is replaced by the midpoint.
-    Stops on an exact zero or once the bracket is at most
-    1e-15 + 8.9e-16*|x| wide, which a bracket of adjacent floats always is.
-    Raises ValueError when f(lo) and f(hi) have the same strict sign.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0 or fhi == 0.0:
-        return lo if flo == 0.0 else hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise ValueError(f"f({lo!r}) = {flo!r} and f({hi!r}) = {fhi!r} "
-                         "do not bracket a sign change")
-    x, kept = 0.5 * (lo + hi), 0  # kept: +1 lo kept last step, -1 hi kept
-    while hi - lo > 1e-15 + 8.9e-16 * max(abs(lo), abs(hi)):
-        x = (lo * fhi - hi * flo) / (fhi - flo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (flo < 0.0):
-            lo, flo = x, fx
-            if kept == -1:
-                fhi *= 0.5
-            kept = -1
-        else:
-            hi, fhi = x, fx
-            if kept == 1:
-                flo *= 0.5
-            kept = 1
-    return x
-
-
 def _balance_gap(p: ModelParams):
     """The residual of the uncleared equilibrium balance, as a function of
     the force of infection A:
@@ -201,17 +163,18 @@ def _balance_gap(p: ModelParams):
 def interior_quadratic(p: ModelParams) -> InteriorQuadratic:
     """Coefficients and real roots of the interior equilibrium quadratic.
 
-    The positive root r (largest root > 0, when one exists) is cross-checked
-    against a bracketing root-find on the uncleared balance equation to
-    1e-12*max(1, r).  The check runs when all six rates are positive, the
-    roots r0 < r are distinct, the balance gap changes sign on
-    [lo, 1.5*r + 1e-12] (lo: the midpoint of r0 and r if r0 > 0, else 0.5*r),
-    and rounding in the gap cannot move its root by the tolerance: its slope
+    The positive root r (largest root > 0, when one exists) is checked
+    against the uncleared balance equation: its gap must change sign
+    within tol = 1e-12*max(1, r) of r, between the two points r - tol and
+    r + tol clipped to [lo, hi] = [lo, 1.5*r + 1e-12] (lo: the midpoint of
+    r0 and r if r0 > 0, else 0.5*r), or ArithmeticError is raised.  The
+    check runs when all six rates are positive, the roots r0 < r are
+    distinct, rounding in the gap cannot move its root by tol (its slope
     at r is c2*(r - r0)/D with D = (b + beta1*r)*(b + beta2*r)*(b + alpha),
-    and 8*eps*D/(c2*(r - r0)) <= 1e-12*max(1, r) is required (measured
-    shifts stay under half of that).  So a double root, which has no sign
-    change, and roots a fold apart are not checked.  The result is computed
-    once per ``p``.
+    and 8*eps*D/(c2*(r - r0)) <= tol is required; measured shifts stay
+    under half of that) and the gap changes sign on [lo, hi].  So a double
+    root, which has no sign change, and roots a fold apart are not
+    checked.  The result is computed once per ``p``.
     """
     rates = p.as_tuple()
     c2, c1, c0, disc = _quadratic(*rates)
@@ -232,15 +195,16 @@ def interior_quadratic(p: ModelParams) -> InteriorQuadratic:
         tol = 1e-12 * max(1.0, positive)
         D = (b + b1 * positive) * (b + b2 * positive) * (b + al)
         drift = 8.0 * sys.float_info.epsilon * D / (c2 * (positive - roots[0]))
-        lo = max(0.5 * positive, 0.5 * (roots[0] + positive))
-        hi = positive * 1.5 + 1e-12
-        gap = _balance_gap(p)
-        if drift <= tol and gap(lo) * gap(hi) < 0.0:
-            refined = bracketed_root(gap, lo, hi)
-            if abs(refined - positive) > tol:
+        if drift <= tol:
+            lo = max(0.5 * positive, 0.5 * (roots[0] + positive))
+            hi = positive * 1.5 + 1e-12
+            gap = _balance_gap(p)
+            # clipped, so the window never reaches the gap's pole at A < 0
+            if (gap(lo) * gap(hi) < 0.0
+                    and gap(max(lo, positive - tol)) * gap(min(hi, positive + tol)) > 0.0):
                 raise ArithmeticError(
-                    f"quadratic root {positive!r} disagrees with direct "
-                    f"root-find {refined!r}"
+                    f"balance gap keeps its sign within {tol:.3g} of "
+                    f"quadratic root {positive!r}"
                 )
     return InteriorQuadratic(c2, c1, c0, roots, positive)
 

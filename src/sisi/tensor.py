@@ -110,23 +110,22 @@ def heredity_values(p: ModelParams) -> np.ndarray:
     return np.array(P, dtype=float).reshape(4, 4, 4)
 
 
-def build_tensor(p: ModelParams, validate: bool = True) -> QsoTensor:
+def build_tensor(p: ModelParams) -> QsoTensor:
     """Construct the heredity tensor for admissible rates.
 
-    With ``validate`` (the default), an entry outside [0, 1] raises
-    :class:`InadmissibleParams` naming the offending coefficient; this is
-    exactly the failure mode of inadmissible rates.  ``validate=False``
-    returns the raw array for diagnostic use with :func:`check_axioms`.
+    An entry outside [0, 1] raises :class:`InadmissibleParams` naming the
+    offending coefficient; this is exactly the failure mode of inadmissible
+    rates.  ``QsoTensor(heredity_values(p))`` is the raw array, for
+    diagnostic use with :func:`check_axioms`.
     """
     P = heredity_values(p)
-    if validate:
-        bad = (P < 0.0) | (P > 1.0)
-        if np.count_nonzero(bad):
-            i, j, k = (int(a[0]) for a in np.nonzero(bad))  # first in C order
-            raise InadmissibleParams(
-                f"P_{{{i + 1}{j + 1},{k + 1}}} = {P[i, j, k]:.17g} "
-                "lies outside [0, 1]"
-            )
+    bad = (P < 0.0) | (P > 1.0)
+    if np.count_nonzero(bad):
+        i, j, k = (int(a[0]) for a in np.nonzero(bad))  # first in C order
+        raise InadmissibleParams(
+            f"P_{{{i + 1}{j + 1},{k + 1}}} = {P[i, j, k]:.17g} "
+            "lies outside [0, 1]"
+        )
     return QsoTensor(P)
 
 

@@ -545,6 +545,23 @@ class TestInputKeys:
         assert capsys.readouterr() == ("", "error: rate(s) must be finite and >= 0: b=-0.1\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("command", ["fixpoints", "simulate"])
+    def test_failed_self_check_is_one_error_line(self, command, out, tmp_path, capsys):
+        # at these rates the interior root fails its balance check; that
+        # ArithmeticError ended in a traceback and exit 1
+        target = tmp_path / "report.txt"
+        argv = [command, "--params", "b=1e-160", "alpha=0.5", "beta1=0.5", "beta2=1e-160",
+                "k1=0.5", "k2=2"]
+        if command == "simulate":
+            argv += ["--init", "0.25,0.25,0.25,0.25"]
+        if out:
+            argv += ["--out", str(target)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: balance gap keeps its sign within 1e-12 "
+                                           "of quadratic root 1.0009843790851698\n")
+        assert not target.exists()
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     @pytest.mark.parametrize("command", ["validate", "scan"])
     def test_unreadable_config_is_bad_input(self, command, kind, tmp_path, capsys):

@@ -79,7 +79,7 @@ def non_finite_report() -> ScanReport:
     and a row of 0 iterations."""
     nan, inf = math.nan, math.inf
     return ScanReport(
-        conjecture=2, seed=1, grid=SMALL_GRID,
+        conjecture=2, seed=1,
         inits=np.array([[0.25, 0.25, 0.25, 0.25], [1.0, -0.0, 0.0, 0.0]]),
         cells=np.array([[0.1, 0.2, 0.5, 0.0, 1.0, 0.3], [inf, -0.0, nan, 0.5, 1e-300, 2.0]]),
         verdict=np.array([["match", "inconclusive"], ["inadmissible", "counterexample"]],
@@ -1013,7 +1013,7 @@ class TestConjectureScan:
         cells = g2.cells()
         for ref in ((0.6, 0.1, 0.5, 0.01, 1.2, 1.1), (0.1, 0.01, 0.8, 0.2, 0.5, 1.2)):
             assert np.any(np.all(cells == np.array(ref), axis=1))
-        assert g1.n_cells == 5 ** 6 and g2.n_cells == 5 ** 6
+        assert len(g1.cells()) == 5 ** 6 and len(g2.cells()) == 5 ** 6
 
 
 class TestScanParts:

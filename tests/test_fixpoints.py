@@ -25,7 +25,6 @@ from sisi.fixpoints import (
     _interior_coordinates,
     _quadratic,
     barycentric_grid,
-    bracketed_root,
     fixed_point_set,
     interior_fixed_point,
     interior_quadratic,
@@ -113,30 +112,39 @@ class TestInteriorQuadratic:
                 assert gap(A).hex() == (first + second - 1.0).hex(), (p, A)
 
     @staticmethod
-    def spy_root_finds(monkeypatch):
-        calls = []
+    def spy_gap_evaluations(monkeypatch):
+        # one list per balance gap made, of the points it is evaluated at
+        calls, balance_gap = [], fixpoints._balance_gap
 
-        def spy(f, lo, hi):
-            calls.append((lo, hi))
-            return bracketed_root(f, lo, hi)
+        def spy(p):
+            gap, points = balance_gap(p), []
+            calls.append(points)
 
-        monkeypatch.setattr(fixpoints, "bracketed_root", spy)
+            def counted(A):
+                points.append(A)
+                return gap(A)
+            return counted
+
+        monkeypatch.setattr(fixpoints, "_balance_gap", spy)
         return calls
 
     def test_cross_check_runs_between_two_positive_roots(self, monkeypatch):
-        # roots 0.2 and 13/60: [0.5r, 1.5r] around the larger root holds both
-        calls = self.spy_root_finds(monkeypatch)
+        # roots 0.2 and 13/60: [0.5r, 1.5r] around the larger root holds
+        # both; the gap is read at its ends, then within 1e-12 of 13/60
+        calls = self.spy_gap_evaluations(monkeypatch)
         quad = interior_quadratic(ModelParams(0.1, 0.5, 0.3, 0.5, 0.7, 1.0))
         assert quad.roots == pytest.approx((0.2, 13 / 60), abs=1e-12)
         assert len(calls) == 1
-        lo, hi = calls[0]
+        lo, hi, below, above = calls[0]
         assert 0.2 < lo < 13 / 60 < hi
+        assert below < quad.positive_root < above
+        assert above - below <= 2e-12 + 2 * math.ulp(13 / 60)
 
     def test_catalog_request_cross_checks_once(self, monkeypatch):
         # what one catalog request does with one ModelParams: the catalog,
         # stability at each isolated point, the tensor axioms and the
         # balance curves; the curves reuse the catalog's checked roots
-        calls = self.spy_root_finds(monkeypatch)
+        calls = self.spy_gap_evaluations(monkeypatch)
         p = ModelParams(*WORKED.as_tuple())
         assert validate_params(p).ok
         catalog = fixed_point_set(p)
@@ -145,31 +153,42 @@ class TestInteriorQuadratic:
             stability.classify_at(SimplexPoint.from_array(fp.point), p)
         assert tensor.check_axioms(tensor.build_tensor(p)).ok
         equilibrium_curves(p)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(calls[0]) == 4
 
     def test_cross_check_skips_roots_a_fold_apart(self, monkeypatch):
         # roots 2.02310e-2 and 2.02314e-2: the balance gap is so flat between
-        # them that its bracketed root lands 1.3e-11 from the exact root,
-        # which the closed form matches to 5.5e-13
-        calls = self.spy_root_finds(monkeypatch)
+        # them that rounding moves its root by 1.3e-11, more than the check's
+        # 1e-12, while the closed form matches the exact root to 5.5e-13
+        calls = self.spy_gap_evaluations(monkeypatch)
         p = ModelParams(0.18939696973581754, 0.2767837502669714, 0.9159323480762633,
                         0.8943812889563291, 0.5042110717298325, 0.4280731368532068)
         quad = interior_quadratic(p)
         assert 0.0 < quad.roots[0] < quad.positive_root < quad.roots[0] * (1 + 1e-4)
         assert calls == []
 
+    @pytest.mark.parametrize("rates", [(0.1, 0.5, 0.3, 0.5, 0.7, 1.0),
+                                       (0.2, 0.3, 0.6, 0.4, 1.0, 1.0)])
+    def test_check_rejects_a_root_off_by_1e_9(self, monkeypatch, rates):
+        # closed-form roots moved by a relative 1e-9 leave the balance gap
+        # one sign on the whole window around the root
+        roots = fixpoints._roots
+        monkeypatch.setattr(fixpoints, "_roots",
+                            lambda *args: tuple(r * (1 + 1e-9) for r in roots(*args)))
+        with pytest.raises(ArithmeticError, match="balance gap keeps its sign"):
+            interior_quadratic(ModelParams(*rates))
 
-class TestBracketedRoot:
-    @staticmethod
-    def counted(f):
-        calls = []
+    def test_check_window_stays_above_the_gap_pole(self):
+        # r is about 4e-160, far below the check's tol of 1e-12: the window's
+        # lower end r - tol is clipped to 0.5r, clear of the gap's pole at
+        # A = -b/beta1 = -2e-160
+        p = ModelParams(1e-160, 0.5, 0.5, 1e-160, 2.0, 0.5)
+        assert "lambda_11" in [fp.label for fp in fixed_point_set(p)]
 
-        def g(x):
-            calls.append(x)
-            return f(x)
-        return g, calls
+    def test_positive_root_matches_50_digit_root(self, rng):
+        # the larger root of Q, solved in 50-digit arithmetic from the
+        # rates' exact binary values, where all six rates are positive
+        from mpmath import mp
 
-    def test_agrees_with_closed_form_root(self, rng):
         found = 0
         while found < 200:
             p = random_admissible(rng)
@@ -177,32 +196,14 @@ class TestBracketedRoot:
             root = quad.positive_root
             if min(p.as_tuple()) <= 0.0 or root is None or len(quad.roots) < 2:
                 continue
-            # the bracket must exclude a second positive root
-            lo = max(0.5 * root, 0.5 * (quad.roots[0] + root))
             found += 1
-            got = bracketed_root(_balance_gap(p), lo, 1.5 * root)
-            assert abs(got - root) <= 1e-13 * root, p
-
-    def test_stops_where_one_ulp_exceeds_1e_15(self):
-        f, calls = self.counted(lambda x: x * x - 101.0)
-        got = bracketed_root(f, 9.0, 11.0)
-        assert math.ulp(got) > 1e-15
-        assert abs(got - math.sqrt(101.0)) <= 4 * math.ulp(got)
-        assert len(calls) <= 40
-
-    def test_stops_on_adjacent_floats(self):
-        lo = 1.0
-        hi = math.nextafter(lo, 2.0)
-        f, calls = self.counted(lambda x: -1.0 if x <= lo else 1.0)
-        assert bracketed_root(f, lo, hi) in (lo, hi)
-        assert len(calls) <= 3
-
-    def test_exact_zero_at_an_end(self):
-        assert bracketed_root(lambda x: x - 2.0, 0.0, 2.0) == 2.0
-
-    def test_rejects_interval_without_sign_change(self):
-        with pytest.raises(ValueError):
-            bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
+            with mp.workdps(50):
+                b, al, b1, b2, k1, k2 = map(mp.mpf, p.as_tuple())
+                c2 = (b + al) * b1 * b2
+                c1 = (b + al) * b * (b1 + b2) - b1 * b2 * (b * k1 + al * k2)
+                c0 = b * b * (b + al - b1 * k1)
+                exact = (-c1 + mp.sqrt(c1 * c1 - 4 * c2 * c0)) / (2 * c2)
+                assert abs(root - exact) <= 1e-13 * exact, p
 
 
 class TestInteriorFixedPoint:

@@ -63,9 +63,8 @@ class TestBuildTensor:
 
     @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_rate(self, value):
-        for validate in (True, False):
-            with pytest.raises(NegativeParameter):
-                build_tensor(ModelParams(0.1, value, 0.0, 0.0, 0.0, 0.0), validate=validate)
+        with pytest.raises(NegativeParameter):
+            build_tensor(ModelParams(0.1, value, 0.0, 0.0, 0.0, 0.0))
 
     def test_row_sums_exact_for_any_nonnegative_rates(self, rng):
         # stochasticity is an algebraic identity, admissible or not
@@ -121,7 +120,7 @@ class TestCheckAxioms:
 
     def test_bound_violation_from_inadmissible_rates(self):
         p = ModelParams(b=0.0, alpha=0.0, beta1=4.0, beta2=0.0, k1=0.0, k2=1.0)
-        report = check_axioms(build_tensor(p, validate=False))
+        report = check_axioms(QsoTensor(heredity_values(p)))
         bad = [v for v in report.violations if v.axiom == "bounded"]
         assert any(v.indices == (1, 4, 2) for v in bad)
 

@@ -48,13 +48,14 @@ from sisi.model import (
 )
 from sisi.fixpoints import (
     DegenerateRegime,
+    _catalog_entries,
     _endemic_roots,
     _interior_coordinates,
     _lambda9_coordinates,
-    _lambda10_coordinates,
+    _lambda10_point,
     _quadratic,
     _roots,
-    fixed_point_set,
+    fixed_point_set,  # not called here; perfbench/workloads.py traces this binding
 )
 
 __all__ = [
@@ -178,15 +179,17 @@ def detect_limit(
     predicted: PredictedLimit | None = None,
     match_tol: float = LIMIT_TOL,
 ) -> LimitReport:
-    """Iterate until the step size drops below ``tol_step``, the state comes
+    """Iterate until the step size is at most ``tol_step``, the state comes
     within ``tol_fix`` of a cataloged fixed point, or ``max_iter`` steps.
 
     The dual stopping rule matters near nonhyperbolic boundaries, where
     step sizes shrink sub-geometrically.  Convergence is reported honestly:
     hitting ``max_iter`` yields ``converged=False`` with the data so far.
 
-    Proximity is checked exactly, against every cataloged point; the check
-    is skipped only on steps where a rounding-safe lower bound on the
+    Proximity is checked exactly, against every isolated point of the
+    fixed-point catalog, as plain floats from the derivation that
+    :func:`fixed_point_set` records (no record is made here); the check is
+    skipped only on steps where a rounding-safe lower bound on the
     distance to the catalog (the last checked distance minus every step
     since) excludes a hit, so skipping changes no result.  ``max_iter``
     must be an integer >= 1 and all three tolerances finite and >= 0.  The
@@ -197,10 +200,10 @@ def detect_limit(
     coordinate is finite, so it equals ``max(abs(...))`` bit for bit (an
     all-zero move gives 0.0, never -0.0).
     """
-    catalog = fixed_point_set(p)  # validates p: InadmissibleParams comes first
+    entries = _catalog_entries(p)  # validates p: InadmissibleParams comes first
     max_iter = _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix,
                                match_tol=match_tol)
-    anchors = [(fp.label, fp.point.tolist()) for fp in catalog if fp.point is not None]
+    anchors = [(label, q) for label, q, _, _ in entries if q is not None]
     b, al, b1, b2, k1, k2 = p.as_tuple()
     margin = _SKIP_MARGIN
 
@@ -347,7 +350,7 @@ def _u_growth(rows) -> dict:
 _POINTS = {  # catalog points fixed by the rates alone
     "lambda_1": lambda a: (1.0, 0.0, 0.0, 0.0),
     "lambda_9": lambda a: (*_lambda9_coordinates(a.b, a.bk), 0.0, 0.0),
-    "lambda_10": lambda a: (*_lambda10_coordinates(a.b, a.al, a.bk), 0.0),
+    "lambda_10": lambda a: _lambda10_point(a.b, a.al, a.b1, a.b2, a.bk),
     "lambda_11": lambda a: _interior_coordinates(a.b, a.al, a.b1, a.b2, a.root),
 }
 

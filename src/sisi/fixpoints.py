@@ -13,10 +13,15 @@ with a label (vertices lambda_2 ... lambda_4, Lambda_5 ... Lambda_8, and S3
 for the whole simplex) is listed where it is fixed, then every other
 maximal fixed face by its support, as face_uv.  An entry is kept only if
 its one-step residual ||V(q) - q||_inf is at most RESIDUAL_TOL.
+
+The catalog is derived once, as plain floats (``_catalog_entries``), and
+:func:`fixed_point_set` makes its records of that derivation; limit
+detection reads the derivation's isolated points directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -136,6 +141,19 @@ def _lambda10_coordinates(b, al, bk):
     return joint / bk, b * excess / (bk * joint), al * excess / (bk * joint)
 
 
+def _lambda10_point(b, al, b1, b2, bk):
+    """lambda_10 = (x, u, y, 0) with bk = beta1*k1 > b + alpha, elementwise.
+
+    Where bk*(b + alpha) underflows, floats raise ZeroDivisionError (arrays
+    never do), and the interior map's coordinates at lambda_10's force of
+    infection, A* = b/(b + alpha)*((bk - b - alpha)/beta1), stand in.
+    """
+    try:
+        return (*_lambda10_coordinates(b, al, bk), 0.0)
+    except ZeroDivisionError:
+        return _interior_coordinates(b, al, b1, b2, b / (b + al) * ((bk - b - al) / b1))
+
+
 def _balance_gap(p: ModelParams):
     """The residual of the uncleared equilibrium balance, as a function of
     the force of infection A:
@@ -227,18 +245,6 @@ class FixedPoint:
         return self.representatives
 
 
-def _interior_point(label, p, A) -> FixedPoint:
-    """The interior map's point at root ``A``, with its residual and note."""
-    b, al, b1, b2, _, _ = rates = p.as_tuple()
-    point = np.array(_interior_coordinates(b, al, b1, b2, A))
-    x, u, y, v = q = point.tolist()
-    note = ""
-    if _residual((b / (b + al), u, y, v), rates) > RESIDUAL_TOL:
-        note = ("x = b/(b+beta1*A) verified; the alternative x = b/(b+alpha) "
-                "fails the residual check")
-    return FixedPoint(label, point=point, residual=_residual(q, rates), note=note)
-
-
 def interior_fixed_point(p: ModelParams) -> FixedPoint:
     """The interior fixed point lambda_11 of admissible rates.
 
@@ -265,16 +271,14 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
     if quad.positive_root is None or p.b == 0.0 or p.alpha == 0.0:
         raise NoInteriorPoint("no lambda_11 for these rates: b = 0, alpha = 0 or "
                               "the equilibrium quadratic has no positive root")
-    fp = _interior_point("lambda_11", p, quad.positive_root)
+    b, al, b1, b2, _, _ = rates = p.as_tuple()
+    q = _interior_coordinates(b, al, b1, b2, quad.positive_root)
+    fp = _point("lambda_11", q, _residual(q, rates), p)
     if fp.residual > RESIDUAL_TOL:
         raise ArithmeticError(
             f"interior fixed-point residual {fp.residual:.3e} exceeds {RESIDUAL_TOL:g}"
         )
     return fp
-
-
-def _entry(label, q, rates) -> FixedPoint:
-    return FixedPoint(label, point=np.array(q), residual=_residual(q, rates))
 
 
 def _endemic_roots(p: ModelParams):
@@ -301,20 +305,16 @@ def _endemic_roots(p: ModelParams):
 
 
 def _endemic_points(p: ModelParams):
-    """b > 0: the points at :func:`_endemic_roots`, lambda_9 and lambda_10
-    at their closed forms."""
-    b, al, b1, b2, k1, _ = rates = p.as_tuple()
+    """b > 0: (label, q, None) for the point q at each of
+    :func:`_endemic_roots`, lambda_9 and lambda_10 at their closed forms."""
+    b, al, b1, b2, k1, _ = p.as_tuple()
     for label, A in _endemic_roots(p):
         if label == "lambda_9":
-            yield _entry(label, (*_lambda9_coordinates(b, b1 * k1), 0.0, 0.0), rates)
+            yield label, (*_lambda9_coordinates(b, b1 * k1), 0.0, 0.0), None
         elif label == "lambda_10":
-            try:
-                q = (*_lambda10_coordinates(b, al, b1 * k1), 0.0)
-            except ZeroDivisionError:  # beta1*k1*(b + alpha) underflows
-                q = _interior_coordinates(b, al, b1, b2, A)
-            yield _entry(label, q, rates)
+            yield label, _lambda10_point(b, al, b1, b2, b1 * k1), None
         else:
-            yield _interior_point(label, p, A)
+            yield label, _interior_coordinates(b, al, b1, b2, A), None
 
 
 # The paper's labels of coordinate faces, by support, in listing order;
@@ -342,54 +342,99 @@ def _face_fixed(support, al, b1, b2, k1, k2) -> bool:
         rate * k == 0.0 for c, rate in zip("xy", (b1, b2)) if c in support for k in ks)
 
 
-def _face(label, support, rates) -> FixedPoint:
-    """The vertex, or the family sampled at _SAMPLES, with support ``support``."""
-    if len(support) == 1:
-        return _entry(label, tuple(float(c == support) for c in "xuyv"), rates)
-    zero = " = ".join(c for c in "xuyv" if c not in support)
-    family = {2: f"{zero} = 0; {support[0]} in [0, 1], {support[1]} = 1 - {support[0]}",
-              3: f"{zero} = 0; {', '.join(support)} >= 0 with {' + '.join(support)} = 1",
-              4: "the whole simplex (identity dynamics)"}[len(support)]
-    members = [tuple(dict(zip(support, t)).get(c, 0.0) for c in "xuyv")
-               for t in _SAMPLES[len(support)]]
-    return FixedPoint(label, family=family,
-                      representatives=tuple(np.array(m) for m in members),
-                      residual=max(_residual(m, rates) for m in members))
+@functools.cache
+def _members(support) -> tuple[tuple[float, float, float, float], ...]:
+    """The sampled members of the family with support ``support``, made
+    once per support."""
+    return tuple(tuple(dict(zip(support, t)).get(c, 0.0) for c in "xuyv")
+                 for t in _SAMPLES[len(support)])
 
 
 def _faces(rates):
-    """b = 0: the named faces that are fixed, then the other maximal ones."""
+    """b = 0: the named faces that are fixed, then the other maximal ones, as
+    (label, q, None) for a vertex q and (label, None, support) for a family."""
     fixed = [s for n in (1, 2, 3, 4) for s in map("".join, combinations("xuyv", n))
              if _face_fixed(s, *rates[1:])]
     maximal = [s for s in fixed if s not in _NAMED and not any(set(s) < set(t) for t in fixed)]
     for support in [s for s in _NAMED if s in fixed] + maximal:
-        yield _face(_NAMED.get(support, "face_" + support), support, rates)
+        label = _NAMED.get(support, "face_" + support)
+        if len(support) == 1:
+            yield label, tuple(float(c == support) for c in "xuyv"), None
+        else:
+            yield label, None, support
 
 
-def fixed_point_set(p: ModelParams) -> list[FixedPoint]:
-    """The full catalog of fixed points for admissible rates: lambda_1, with
-    its closed-form stability, then what the rule for b > 0 or b = 0 derives.
-    An isolated point within 1e-12 of one already kept is dropped.
+def _catalog_entries(p: ModelParams) -> list[tuple]:
+    """The catalog's entries as plain floats, in catalog order, each
+    (label, q, residual, support): an isolated point has its four
+    coordinates q and support None, a family (b = 0) has q None and the
+    support of its face, and its residual is the largest of its members'.
+
+    lambda_1 comes first, then what the rule for b > 0 or b = 0 derives.
+    An entry whose residual exceeds RESIDUAL_TOL is dropped, and so is an
+    isolated point within 1e-12 of one already kept.  Raises
+    InadmissibleParams before anything else.
     """
     require_admissible(p)
     rates = p.as_tuple()
-    q = (1.0, 0.0, 0.0, 0.0)
-    lambda1 = FixedPoint("lambda_1", point=np.array(q), residual=_residual(q, rates),
-                         stability=stability.classify_lambda1(p).classification)
-    kept: list[FixedPoint] = []
-    points: list[list[float]] = []  # coordinates of the kept isolated points
-    for fp in [lambda1, *(_endemic_points(p) if rates[0] > 0.0 else _faces(rates))]:
-        if fp.residual > RESIDUAL_TOL:
+    kept: list[tuple] = []
+    points: list[tuple] = []  # coordinates of the kept isolated points
+    for label, q, support in [("lambda_1", (1.0, 0.0, 0.0, 0.0), None),
+                              *(_endemic_points(p) if rates[0] > 0.0 else _faces(rates))]:
+        if q is None:
+            res = max(_residual(m, rates) for m in _members(support))
+        else:
+            res = _residual(q, rates)
+        if res > RESIDUAL_TOL:
             continue  # derived, but not fixed in floating point
-        if fp.point is not None:
-            x, u, y, v = q = fp.point.tolist()
+        if q is not None:
+            x, u, y, v = q
             if any(abs(a - x) <= 1e-12 and abs(b - u) <= 1e-12
                    and abs(c - y) <= 1e-12 and abs(d - v) <= 1e-12
                    for a, b, c, d in points):
                 continue
             points.append(q)
-        kept.append(fp)
+        kept.append((label, q, res, support))
     return kept
+
+
+def _point(label, q, res, p: ModelParams) -> FixedPoint:
+    """The record of the isolated point ``q`` with residual ``res``: its
+    array, lambda_1's closed-form stability, and at lambda_11 and
+    lambda_11b a note on whether the alternative x = b/(b + alpha) fails
+    the residual check."""
+    if label == "lambda_1":
+        return FixedPoint(label, point=np.array(q), residual=res,
+                          stability=stability.classify_lambda1(p).classification)
+    note = ""
+    if label in ("lambda_11", "lambda_11b"):
+        b, al, _, _, _, _ = rates = p.as_tuple()
+        _, u, y, v = q
+        if _residual((b / (b + al), u, y, v), rates) > RESIDUAL_TOL:
+            note = ("x = b/(b+beta1*A) verified; the alternative x = b/(b+alpha) "
+                    "fails the residual check")
+    return FixedPoint(label, point=np.array(q), residual=res, note=note)
+
+
+def _family(label, support, res) -> FixedPoint:
+    """The record of the family with support ``support``: its description
+    and sampled members."""
+    zero = " = ".join(c for c in "xuyv" if c not in support)
+    family = {2: f"{zero} = 0; {support[0]} in [0, 1], {support[1]} = 1 - {support[0]}",
+              3: f"{zero} = 0; {', '.join(support)} >= 0 with {' + '.join(support)} = 1",
+              4: "the whole simplex (identity dynamics)"}[len(support)]
+    return FixedPoint(label, family=family, residual=res,
+                      representatives=tuple(np.array(m) for m in _members(support)))
+
+
+def fixed_point_set(p: ModelParams) -> list[FixedPoint]:
+    """The full catalog of fixed points for admissible rates: the records of
+    :func:`_catalog_entries`.  Only they hold point arrays, lambda_1's
+    closed-form stability, an interior point's note and a family's
+    description and sampled members.
+    """
+    return [_family(label, support, res) if q is None else _point(label, q, res, p)
+            for label, q, res, support in _catalog_entries(p)]
 
 
 def barycentric_grid(resolution: int) -> np.ndarray:

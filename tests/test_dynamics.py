@@ -518,6 +518,16 @@ class TestPredictedLimit:
             assert (math.isnan(got) and math.isnan(expected)
                     or float(got).hex() == expected.hex()), rates
 
+    def test_lambda10_target_where_its_closed_form_underflows(self):
+        # beta1*k1*(b + alpha) underflows to 0 in lambda_10's closed form;
+        # the target takes the catalog's fallback, to the byte
+        p = ModelParams(1e-200, 1e-200, 0.5, 0.0, 1e-160, 0.5)
+        pred = predicted_limit(SimplexPoint(0.4, 0.3, 0.2, 0.1), p)
+        assert pred.regime == "boundary-conjecture/beta1k1>b+alpha"
+        lambda10 = [fp.point for fp in fixed_point_set(p) if fp.label == "lambda_10"]
+        assert len(lambda10) == 1 and pred.target.tobytes() == lambda10[0].tobytes()
+        assert np.allclose(pred.target, [4e-40, 0.5, 0.5, 0.0], rtol=1e-12, atol=0.0)
+
 
 class TestPinnedDeviation:
     @staticmethod

@@ -1,13 +1,16 @@
 """Fixed-point catalog: quadratic, interior point, derivation rules, residuals."""
 
+import collections
 import itertools
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sisi import fixpoints, stability, tensor
+from sisi import dynamics, fixpoints, stability, tensor
 from sisi.dynamics import equilibrium_curves
 from sisi.model import (
     RESIDUAL_TOL,
@@ -22,6 +25,7 @@ from sisi.fixpoints import (
     DegenerateRegime,
     NoInteriorPoint,
     _balance_gap,
+    _catalog_entries,
     _interior_coordinates,
     _quadratic,
     barycentric_grid,
@@ -391,6 +395,62 @@ class TestDerivedEntries:
         p = ModelParams(*WORKED.as_tuple())
         assert fixed_point_set(p)[0].stability == stability.classify_lambda1(p).classification
         assert len(calls) == 1
+
+
+def _catalog_workload_rates():
+    """The rates of the ``catalog`` benchmark, rounds 0-2 of seeds 0-9."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import catalog_inputs
+    finally:
+        sys.path.pop(0)
+    return [rates for seed in range(10) for rnd in range(3)
+            for rates, _ in catalog_inputs(seed, rnd)]
+
+
+def _suite_rates():
+    """The rates verify_proposition draws for every suite at seeds 0-2."""
+    return [tuple(r) for seed in range(3) for index in dynamics._SUITES.values()
+            for r in dynamics._sample(index, 100, np.random.default_rng(seed))[0].tolist()]
+
+
+def _outcome(fn, rates):
+    """``fn`` on fresh ModelParams of ``rates``, or what it raised."""
+    try:
+        return fn(ModelParams(*rates))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestCatalogEntries:
+    @pytest.mark.parametrize("inputs, counts", [
+        (_catalog_workload_rates, {"listed": 30_000}),
+        (lambda: itertools.product((0.0, 0.5, 1.0, 2.0, 1e-160, 1e-200), repeat=6),
+         {"listed": 20_510, "ArithmeticError": 38, "InadmissibleParams": 26_108}),
+        (lambda: itertools.product((0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 1e-160), repeat=6),
+         {"listed": 51_382, "ArithmeticError": 498, "InadmissibleParams": 65_769}),
+        (_suite_rates, {"listed": 5_400}),
+    ], ids=["catalog-workload", "extreme-grid-1", "extreme-grid-2", "suite-draws"])
+    def test_isolated_entries_are_the_catalog_points(self, inputs, counts):
+        # the derivation and the records list the same labels in the same
+        # order, each isolated point with the record's coordinate bytes and
+        # residual, or both raise the same error (inadmissible tuples of
+        # the grids included, and the interior root's balance check)
+        outcomes = collections.Counter()
+        for rates in inputs():
+            entries = _outcome(_catalog_entries, rates)
+            records = _outcome(fixed_point_set, rates)
+            if isinstance(entries, tuple):
+                assert records == entries, rates
+                outcomes[entries[0].__name__] += 1
+                continue
+            assert [e[0] for e in entries] == [fp.label for fp in records], rates
+            points = [(fp.label, fp.point.tobytes(), fp.residual)
+                      for fp in records if fp.point is not None]
+            assert [(label, np.array(q).tobytes(), res)
+                    for label, q, res, _ in entries if q is not None] == points, rates
+            outcomes["listed"] += 1
+        assert outcomes == counts
 
 
 class TestCompleteness:

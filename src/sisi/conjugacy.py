@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sisi.model import ModelParams, _require_count
+from sisi.model import ModelParams, _require_count, _samples
 from sisi.stability import BOUNDARY_TOL
 
 __all__ = [
@@ -179,7 +179,7 @@ def verify_conjugacy(p: ModelParams, grid_size: int = 10_000,
     grid_size = _require_count("grid_size", grid_size, 1)
     h = conjugacy_map(p, root)
     f = QuadraticMap1D.from_params(p)
-    xs = np.linspace(0.0, 1.0, grid_size)
+    xs = _samples(1.0, grid_size)
     lhs = h(logistic(h.mu, xs))
     rhs = f(h(xs))
     return float(np.max(np.abs(lhs - rhs)))

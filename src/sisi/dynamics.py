@@ -43,6 +43,7 @@ from sisi.model import (
     _CONDITIONS,
     _rate_ok,
     _require_count,
+    _samples,
     _step,
     require_admissible,
 )
@@ -1110,7 +1111,7 @@ def equilibrium_curves(p: ModelParams) -> EquilibriumCurves:
         return (b * b1 * k1 / (b + al)
                 + al * b1 * b2 * k2 * t / ((b + b2 * t) * (b + al)))
 
-    xs = np.linspace(0.0, max(1.0, k1, k2, *(1.5 * A for A in crossings)), 513)
+    xs = _samples(max(1.0, k1, k2, *(1.5 * A for A in crossings)), 513)
     return EquilibriumCurves(
         xs=xs,
         linear=linear(xs),

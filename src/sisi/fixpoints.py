@@ -105,7 +105,7 @@ def _quadratic(b, al, b1, b2, k1, k2):
     c2 = joint * b1 * b2
     c1 = joint * b * (b1 + b2) - b1 * b2 * (b * k1 + al * k2)
     c0 = b * b * (joint - b1 * k1)
-    return c2, c1, c0, c1 * c1 - 4.0 * c2 * c0
+    return c2, c1, c0, c1 * c1 - 4 * c2 * c0
 
 
 def _roots(c2, c1, c0, sqrt_disc):
@@ -350,12 +350,21 @@ def _members(support) -> tuple[tuple[float, float, float, float], ...]:
                  for t in _SAMPLES[len(support)])
 
 
+@functools.cache
+def _supersets() -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The 15 supports, by size and then in x, u, y, v order, each with the
+    supports that strictly contain it; made on first use."""
+    supports = [s for n in (1, 2, 3, 4) for s in map("".join, combinations("xuyv", n))]
+    return tuple((s, tuple(t for t in supports if set(s) < set(t))) for s in supports)
+
+
 def _faces(rates):
     """b = 0: the named faces that are fixed, then the other maximal ones, as
     (label, q, None) for a vertex q and (label, None, support) for a family."""
-    fixed = [s for n in (1, 2, 3, 4) for s in map("".join, combinations("xuyv", n))
-             if _face_fixed(s, *rates[1:])]
-    maximal = [s for s in fixed if s not in _NAMED and not any(set(s) < set(t) for t in fixed)]
+    table = _supersets()
+    fixed = {s for s, _ in table if _face_fixed(s, *rates[1:])}
+    maximal = [s for s, above in table
+               if s in fixed and s not in _NAMED and fixed.isdisjoint(above)]
     for support in [s for s in _NAMED if s in fixed] + maximal:
         label = _NAMED.get(support, "face_" + support)
         if len(support) == 1:

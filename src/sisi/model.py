@@ -169,6 +169,22 @@ def _require_count(name: str, value, least: int) -> int:
     return count
 
 
+def _samples(stop: float, n: int) -> np.ndarray:
+    """``np.linspace(0.0, stop, n)`` by linspace's own arithmetic, without
+    its set-up: the step ``stop / (n - 1)``, the products ``i * step``, and
+    ``stop`` written last (for ``n <= 1``, the products ``i * stop``).
+
+    Requires ``stop >= 1``, where every sample keeps linspace's bits.
+    Below that, linspace's step can underflow to 0, and linspace then
+    divides before it multiplies, which rounds in another order.
+    """
+    if n < 2:
+        return np.arange(n, dtype=float) * stop
+    xs = np.arange(n, dtype=float) * (stop / (n - 1))
+    xs[-1] = stop
+    return xs
+
+
 def _per_params(fn):
     """Memoize ``fn(p)`` on the frozen :class:`ModelParams` ``p``.
 

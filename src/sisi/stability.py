@@ -19,7 +19,9 @@ nonhyperbolicity at (1, 0, 0, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -51,28 +53,36 @@ class NonConvergence(RuntimeError):
     """The eigensolver failed to produce residual-verified eigenvalues."""
 
 
-def jacobian(s: SimplexPoint, p: ModelParams) -> np.ndarray:
-    """Jacobian matrix of the one-step map at ``s``."""
+def _jacobian_rows(s: SimplexPoint, p: ModelParams) -> list[list[float]]:
+    """The rows of :func:`jacobian`, as lists of floats."""
     b, al, b1, b2, k1, k2 = p.as_tuple()
     x, _, y, _ = s.as_tuple()
     A = force_of_infection(s, p)
-    return np.array([
+    return [
         [1 - b - b1 * A, -b1 * k1 * x, 0.0, -b1 * k2 * x],
         [b1 * A, 1 - b - al + b1 * k1 * x, 0.0, b1 * k2 * x],
         [0.0, al - b2 * k1 * y, 1 - b - b2 * A, -b2 * k2 * y],
         [0.0, b2 * k1 * y, b2 * A, 1 - b + b2 * k2 * y],
-    ])
+    ]
 
 
-def _triangular_diagonal(J: np.ndarray) -> list[float] | None:
-    """The diagonal of ``J`` if a symmetric permutation makes it triangular.
+def jacobian(s: SimplexPoint, p: ModelParams) -> np.ndarray:
+    """Jacobian matrix of the one-step map at ``s``."""
+    return np.array(_jacobian_rows(s, p))
+
+
+def _triangular_diagonal(rows) -> list[float] | None:
+    """The diagonal of the 4x4 matrix ``rows`` (four rows of four entries:
+    nested lists, or an array) if a symmetric permutation makes it
+    triangular; ValueError unless every entry is finite.
 
     Repeatedly removes a row whose off-diagonal entries, in the columns of
     the rows still left, are all zero: the permutation step of LAPACK's
     balancing (dgebal).  Every row is removed exactly when no cycle of
     nonzero off-diagonal entries exists; otherwise returns None.
     """
-    rows = J.tolist()
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ValueError("matrix entries must be finite")
     left = [0, 1, 2, 3]
     while left:
         for i in left:
@@ -102,11 +112,15 @@ def eigenvalues(J: np.ndarray) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {J.shape}")
-    if not np.isfinite(J).all():
-        raise ValueError("matrix entries must be finite")
-    diagonal = _triangular_diagonal(J)
+    diagonal = _triangular_diagonal(J.tolist())
     if diagonal is not None:
         return np.array(sorted(diagonal), dtype=complex)
+    return _lapack_eigenvalues(J)
+
+
+def _lapack_eigenvalues(J: np.ndarray) -> np.ndarray:
+    """:func:`eigenvalues` of the finite 4x4 array ``J`` by LAPACK, each
+    eigenpair checked by its residual."""
     mu, V = np.linalg.eig(J)
     scale = max(1.0, float(abs(J).sum(axis=1).max()))
     res = abs(J @ V - V * mu).max(axis=0)
@@ -147,8 +161,17 @@ def classify(eigs) -> StabilityClass:
 
 
 def classify_at(s: SimplexPoint, p: ModelParams) -> StabilityClass:
-    """Generic classification at an arbitrary point (Jacobian + eigenvalues)."""
-    return classify(eigenvalues(jacobian(s, p)).tolist())
+    """Generic classification at an arbitrary point (Jacobian + eigenvalues).
+
+    The same class and eigenvalues as ``classify(eigenvalues(jacobian(s,
+    p)).tolist())``, but a triangular spectrum is read off the Jacobian's
+    rows before any array is made; only the LAPACK route makes one.
+    """
+    rows = _jacobian_rows(s, p)
+    diagonal = _triangular_diagonal(rows)
+    if diagonal is not None:
+        return classify(sorted(diagonal))
+    return classify(_lapack_eigenvalues(np.array(rows)).tolist())
 
 
 def lambda1_spectrum(p: ModelParams) -> tuple[float, float, float, float]:

@@ -1,6 +1,9 @@
-"""Shared helpers: seeded random admissible rates and simplex points."""
+"""Shared helpers: seeded random admissible rates and simplex points, and the
+catalog benchmark's rates."""
 
 import os
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +32,17 @@ def random_admissible(rng: np.random.Generator, attempts: int = 10_000) -> Model
 
 def random_point(rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(4))
+
+
+def catalog_workload_rates():
+    """The rates of the ``catalog`` benchmark, rounds 0-2 of seeds 0-9."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import catalog_inputs
+    finally:
+        sys.path.pop(0)
+    return [rates for seed in range(10) for rnd in range(3)
+            for rates, _ in catalog_inputs(seed, rnd)]
 
 
 @pytest.fixture

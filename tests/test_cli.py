@@ -611,6 +611,12 @@ class TestReportBytes:
         (["fixpoints", "--params", "b=0", "alpha=0", "beta1=0.5", "beta2=0.5", "k1=1",
           "k2=1"], 0,
          "13380e655bf4d1eff6ba9b3c0ee756a32434a699ef186d9a738fe080662c70f7"),
+        (["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1"], 0,
+         "9d404f1d16f8290921da99b6dbd077c78ea698cc6f8b8fa34482e7904f00f784"),
+        (["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1", "--grid", "1"], 0,
+         "0753b20d8071e00499f9901e6d36ff86f61dd339234436f968c49e82e0083bde"),
+        (["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1", "--grid", "2"], 0,
+         "6bb491ed566fbcbf2e1d62fa59c9d1c8b7de8fc235e8d770fc1334cba7ac6f91"),
         (["conjugacy", "--params", "b=0.2", "beta1=0.6", "k1=1", "--grid", "77",
           "--root", "interior"], 0,
          "eb1a2ff85cfbaf7b18d1992c33f382cd3eab08c48786bf9bcd68859238dc264c"),

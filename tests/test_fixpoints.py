@@ -4,8 +4,7 @@ import collections
 import itertools
 import math
 import re
-import sys
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ from sisi.fixpoints import (
     residual,
 )
 
-from conftest import random_admissible, random_point
+from conftest import catalog_workload_rates, random_admissible, random_point
 
 # the worked interior-equilibrium instance
 WORKED = ModelParams(b=0.2, alpha=0.3, beta1=0.6, beta2=0.4, k1=1.0, k2=1.0)
@@ -208,6 +207,25 @@ class TestInteriorQuadratic:
                 c0 = b * b * (b + al - b1 * k1)
                 exact = (-c1 + mp.sqrt(c1 * c1 - 4 * c2 * c0)) / (2 * c2)
                 assert abs(root - exact) <= 1e-13 * exact, p
+
+    def test_exact_rates_give_an_exact_discriminant(self):
+        # the discriminant's 4 is an int, so Fraction rates stay exact
+        rates = [Fraction(n, 8) for n in (1, 2, 4, 3, 8, 5)]
+        outputs = _quadratic(*rates)
+        assert all(type(c) is Fraction for c in outputs)
+        c2, c1, c0, disc = outputs
+        assert disc == c1 * c1 - 4 * c2 * c0
+
+    def test_float_discriminant_keeps_the_bits_of_the_float_literal(self):
+        # 20,000 rate sets over 200 decades, as scalars and as arrays
+        rng = np.random.default_rng(26)
+        rates = rng.uniform(0.0, 2.0, (20_000, 6)) * 10.0 ** rng.integers(-200, 1, (20_000, 6))
+        c2, c1, c0, disc = _quadratic(*rates.T)
+        assert disc.tobytes() == (c1 * c1 - 4.0 * c2 * c0).tobytes()
+        for row in rates.tolist():
+            c2, c1, c0, disc = _quadratic(*row)
+            assert type(disc) is float
+            assert disc.hex() == (c1 * c1 - 4.0 * c2 * c0).hex(), row
 
 
 class TestInteriorFixedPoint:
@@ -397,17 +415,6 @@ class TestDerivedEntries:
         assert len(calls) == 1
 
 
-def _catalog_workload_rates():
-    """The rates of the ``catalog`` benchmark, rounds 0-2 of seeds 0-9."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        from workloads import catalog_inputs
-    finally:
-        sys.path.pop(0)
-    return [rates for seed in range(10) for rnd in range(3)
-            for rates, _ in catalog_inputs(seed, rnd)]
-
-
 def _suite_rates():
     """The rates verify_proposition draws for every suite at seeds 0-2."""
     return [tuple(r) for seed in range(3) for index in dynamics._SUITES.values()
@@ -424,7 +431,7 @@ def _outcome(fn, rates):
 
 class TestCatalogEntries:
     @pytest.mark.parametrize("inputs, counts", [
-        (_catalog_workload_rates, {"listed": 30_000}),
+        (catalog_workload_rates, {"listed": 30_000}),
         (lambda: itertools.product((0.0, 0.5, 1.0, 2.0, 1e-160, 1e-200), repeat=6),
          {"listed": 20_510, "ArithmeticError": 38, "InadmissibleParams": 26_108}),
         (lambda: itertools.product((0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 1e-160), repeat=6),

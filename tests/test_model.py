@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sisi
 from sisi import model
@@ -303,6 +305,30 @@ class TestIterate:
             for row_in, row_out in zip(states, batch):
                 direct = apply_V(SimplexPoint.from_array(row_in), p).as_array()
                 assert np.array_equal(row_out, direct)
+
+
+class TestSamples:
+    @staticmethod
+    def _same_as_linspace(stop, n):
+        with np.errstate(over="ignore", invalid="ignore"):  # stop near the float limit, or inf
+            got, want = model._samples(stop, n), np.linspace(0.0, stop, n)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(stop=st.floats(min_value=1.0, max_value=1.7976931348623157e308) | st.just(math.inf),
+           n=st.integers(min_value=0, max_value=20_000))
+    @example(stop=1.7976931348623157e308, n=2)
+    @example(stop=math.inf, n=1)
+    @example(stop=math.inf, n=3)
+    @example(stop=2.5, n=513)
+    def test_bytes_of_linspace(self, stop, n):
+        # the step, the products and the last sample written as stop, so
+        # even i*step overflowing or 0*inf = nan lands on linspace's bytes
+        self._same_as_linspace(stop, n)
+
+    def test_bytes_of_linspace_on_the_conjugacy_grid(self):
+        for n in [*range(2_001), 10_000]:
+            self._same_as_linspace(1.0, n)
 
 
 def test_import_loads_no_scipy():

@@ -1,14 +1,18 @@
 """Jacobian, eigenvalue solver, and hyperbolicity classification."""
 
+import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from sisi.fixpoints import fixed_point_set
 from sisi.model import ModelParams, NegativeParameter, SimplexPoint, apply_V
 from sisi.stability import (
     LAMBDA1,
     NonConvergence,
+    _triangular_diagonal,
     classify,
     classify_at,
     classify_lambda1,
@@ -17,7 +21,7 @@ from sisi.stability import (
     lambda1_spectrum,
 )
 
-from conftest import random_admissible, random_point
+from conftest import catalog_workload_rates, random_admissible, random_point
 
 FIG1 = ModelParams(b=0.6, alpha=0.2, beta1=0.5, beta2=0.0, k1=1.0, k2=0.3)
 FIG2 = ModelParams(b=0.1, alpha=0.2, beta1=0.5, beta2=0.0, k1=1.0, k2=0.3)
@@ -254,3 +258,48 @@ class TestClassification:
 
     def test_lambda1_constant_exported(self):
         assert LAMBDA1.as_tuple() == (1.0, 0.0, 0.0, 0.0)
+
+
+def _class_bytes(classify_fn):
+    """The class and eigenvalue hex ``classify_fn()`` gives, or what it raised."""
+    try:
+        c = classify_fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return c.classification, [(e.real.hex(), e.imag.hex()) for e in c.eigenvalues]
+
+
+def _catalog_points(rates_list):
+    """(p, point) at every isolated catalog point of the admissible ``rates_list``."""
+    for rates in rates_list:
+        p = ModelParams(*rates)
+        if p.admissible:
+            for fp in fixed_point_set(p):
+                if fp.point is not None:
+                    yield p, SimplexPoint.from_array(fp.point)
+
+
+class TestClassifyAtRoute:
+    @pytest.mark.parametrize("inputs, counts", [
+        (catalog_workload_rates, {"diagonal": 30_000, "lapack": 13_412}),
+        (lambda: ((0.0, *rest) for rest in itertools.product(
+            (0.0, 0.5, 1.0, 2.0, 1e-160, 1e-200), repeat=5)),
+         {"diagonal": 15_752}),
+    ], ids=["catalog-workload", "extreme-grid-b0"])
+    def test_same_class_and_eigenvalue_bytes_as_the_array_route(self, inputs, counts):
+        # the rows' route gives what eigenvalues(jacobian(...)) gives, at
+        # lambda_1 and everywhere else, NonConvergence included
+        routes = collections.Counter()
+        for p, s in _catalog_points(inputs()):
+            got = _class_bytes(lambda: classify_at(s, p))
+            assert got == _class_bytes(lambda: classify(eigenvalues(jacobian(s, p)).tolist())), (p, s)
+            routes["lapack" if _triangular_diagonal(jacobian(s, p)) is None else "diagonal"] += 1
+        assert routes == counts
+
+    @pytest.mark.parametrize("s", [LAMBDA1, SimplexPoint(0.5, 0.5, 0.0, 0.0)])
+    def test_nonfinite_jacobian_raises_as_the_array_route(self, s):
+        p = ModelParams(0.0, 0.0, 1e300, 0.0, 1e300, 0.0)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            eigenvalues(jacobian(s, p))
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            classify_at(s, p)

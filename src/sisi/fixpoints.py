@@ -332,16 +332,6 @@ _SAMPLES = {
 }
 
 
-def _face_fixed(support, al, b1, b2, k1, k2) -> bool:
-    """b = 0: whether beta1*A*x, alpha*u and beta2*A*y vanish on the face.
-
-    A rate product that underflows counts as zero, as it does in V.
-    """
-    ks = [k for c, k in zip("uv", (k1, k2)) if c in support]
-    return ("u" not in support or al == 0.0) and all(
-        rate * k == 0.0 for c, rate in zip("xy", (b1, b2)) if c in support for k in ks)
-
-
 @functools.cache
 def _members(support) -> tuple[tuple[float, float, float, float], ...]:
     """The sampled members of the family with support ``support``, made
@@ -350,21 +340,25 @@ def _members(support) -> tuple[tuple[float, float, float, float], ...]:
                  for t in _SAMPLES[len(support)])
 
 
-@functools.cache
-def _supersets() -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """The 15 supports, by size and then in x, u, y, v order, each with the
-    supports that strictly contain it; made on first use."""
-    supports = [s for n in (1, 2, 3, 4) for s in map("".join, combinations("xuyv", n))]
-    return tuple((s, tuple(t for t in supports if set(s) < set(t))) for s in supports)
+# The 15 supports, by size and then in x, u, y, v order, each with its set.
+_SUPPORTS = tuple((s, frozenset(s)) for n in (1, 2, 3, 4)
+                  for s in map("".join, combinations("xuyv", n)))
 
 
 def _faces(rates):
     """b = 0: the named faces that are fixed, then the other maximal ones, as
-    (label, q, None) for a vertex q and (label, None, support) for a family."""
-    table = _supersets()
-    fixed = {s for s, _ in table if _face_fixed(s, *rates[1:])}
-    maximal = [s for s, above in table
-               if s in fixed and s not in _NAMED and fixed.isdisjoint(above)]
+    (label, q, None) for a vertex q and (label, None, support) for a family.
+
+    A face moves where it holds u with alpha != 0, or both coordinates of a
+    pair xu, xv, yu or yv whose rate product beta*k is not 0 (one that
+    underflows counts as 0, as it does in V); every other face is fixed.
+    """
+    _, al, b1, b2, k1, k2 = rates
+    moving = [pair for pair, rate in (("u", al), ("xu", b1 * k1), ("xv", b1 * k2),
+                                      ("yu", b2 * k1), ("yv", b2 * k2)) if rate != 0.0]
+    fixed = {s: f for s, f in _SUPPORTS if not any(f.issuperset(m) for m in moving)}
+    maximal = [s for s, f in fixed.items()
+               if s not in _NAMED and not any(f < g for g in fixed.values())]
     for support in [s for s in _NAMED if s in fixed] + maximal:
         label = _NAMED.get(support, "face_" + support)
         if len(support) == 1:

@@ -74,15 +74,13 @@ def jacobian(s: SimplexPoint, p: ModelParams) -> np.ndarray:
 def _triangular_diagonal(rows) -> list[float] | None:
     """The diagonal of the 4x4 matrix ``rows`` (four rows of four entries:
     nested lists, or an array) if a symmetric permutation makes it
-    triangular; ValueError unless every entry is finite.
+    triangular, else None.
 
     Repeatedly removes a row whose off-diagonal entries, in the columns of
     the rows still left, are all zero: the permutation step of LAPACK's
     balancing (dgebal).  Every row is removed exactly when no cycle of
-    nonzero off-diagonal entries exists; otherwise returns None.
+    nonzero off-diagonal entries exists.
     """
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        raise ValueError("matrix entries must be finite")
     left = [0, 1, 2, 3]
     while left:
         for i in left:
@@ -96,6 +94,30 @@ def _triangular_diagonal(rows) -> list[float] | None:
         else:  # no row can be removed
             return None
     return [rows[i][i] for i in range(4)]
+
+
+def _spectrum(rows) -> list:
+    """The eigenvalues of the 4x4 matrix ``rows`` (four rows of four
+    floats), sorted by (real, imag): its diagonal, as floats, if a symmetric
+    permutation makes it triangular, else LAPACK's, as complex numbers, each
+    eigenpair checked by its residual.  ValueError unless every entry is
+    finite; the one route of :func:`eigenvalues` and :func:`classify_at`.
+    """
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ValueError("matrix entries must be finite")
+    diagonal = _triangular_diagonal(rows)
+    if diagonal is not None:
+        return sorted(diagonal)
+    J = np.array(rows)
+    mu, V = np.linalg.eig(J)
+    scale = max(1.0, float(abs(J).sum(axis=1).max()))
+    res = abs(J @ V - V * mu).max(axis=0)
+    bad = res > _EIGENPAIR_TOL * scale * abs(V).max(axis=0)
+    if np.count_nonzero(bad):
+        raise NonConvergence(
+            f"eigenvalue {mu[bad][0]!r} has eigenpair residual above {_EIGENPAIR_TOL:g}"
+        )
+    return np.sort_complex(mu).tolist()
 
 
 def eigenvalues(J: np.ndarray) -> np.ndarray:
@@ -112,24 +134,7 @@ def eigenvalues(J: np.ndarray) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {J.shape}")
-    diagonal = _triangular_diagonal(J.tolist())
-    if diagonal is not None:
-        return np.array(sorted(diagonal), dtype=complex)
-    return _lapack_eigenvalues(J)
-
-
-def _lapack_eigenvalues(J: np.ndarray) -> np.ndarray:
-    """:func:`eigenvalues` of the finite 4x4 array ``J`` by LAPACK, each
-    eigenpair checked by its residual."""
-    mu, V = np.linalg.eig(J)
-    scale = max(1.0, float(abs(J).sum(axis=1).max()))
-    res = abs(J @ V - V * mu).max(axis=0)
-    bad = res > _EIGENPAIR_TOL * scale * abs(V).max(axis=0)
-    if np.count_nonzero(bad):
-        raise NonConvergence(
-            f"eigenvalue {mu[bad][0]!r} has eigenpair residual above {_EIGENPAIR_TOL:g}"
-        )
-    return np.sort_complex(mu)
+    return np.array(_spectrum(J.tolist()), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -164,14 +169,11 @@ def classify_at(s: SimplexPoint, p: ModelParams) -> StabilityClass:
     """Generic classification at an arbitrary point (Jacobian + eigenvalues).
 
     The same class and eigenvalues as ``classify(eigenvalues(jacobian(s,
-    p)).tolist())``, but a triangular spectrum is read off the Jacobian's
-    rows before any array is made; only the LAPACK route makes one.
+    p)).tolist())``, by the same route, but from the Jacobian's rows: a
+    triangular spectrum is read off them before any array is made; only
+    the LAPACK route makes one.
     """
-    rows = _jacobian_rows(s, p)
-    diagonal = _triangular_diagonal(rows)
-    if diagonal is not None:
-        return classify(sorted(diagonal))
-    return classify(_lapack_eigenvalues(np.array(rows)).tolist())
+    return classify(_spectrum(_jacobian_rows(s, p)))
 
 
 def lambda1_spectrum(p: ModelParams) -> tuple[float, float, float, float]:

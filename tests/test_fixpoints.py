@@ -1,6 +1,7 @@
 """Fixed-point catalog: quadratic, interior point, derivation rules, residuals."""
 
 import collections
+import hashlib
 import itertools
 import math
 import re
@@ -458,6 +459,70 @@ class TestCatalogEntries:
                     for label, q, res, _ in entries if q is not None] == points, rates
             outcomes["listed"] += 1
         assert outcomes == counts
+
+
+def _reference_faces(rates):
+    """b = 0: the faces by the per-support rule, the oracle of
+    fixpoints._faces: each of the 15 supports is tested on its own, and a
+    fixed one that is not named is listed if no fixed support strictly
+    contains it."""
+    _, al, b1, b2, k1, k2 = rates
+
+    def face_fixed(support):
+        ks = [k for c, k in zip("uv", (k1, k2)) if c in support]
+        return ("u" not in support or al == 0.0) and all(
+            rate * k == 0.0 for c, rate in zip("xy", (b1, b2)) if c in support for k in ks)
+
+    supports = [s for n in (1, 2, 3, 4) for s in map("".join, itertools.combinations("xuyv", n))]
+    fixed = {s for s in supports if face_fixed(s)}
+    maximal = [s for s in supports if s in fixed and s not in fixpoints._NAMED
+               and not any(set(s) < set(t) for t in fixed)]
+    faces = []
+    for support in [s for s in fixpoints._NAMED if s in fixed] + maximal:
+        label = fixpoints._NAMED.get(support, "face_" + support)
+        if len(support) == 1:
+            faces.append((label, tuple(float(c == support) for c in "xuyv"), None))
+        else:
+            faces.append((label, None, support))
+    return faces
+
+
+class TestFaces:
+    def test_five_rate_tests_give_the_per_support_rule(self):
+        # every tuple over five values, admissible or not; products such as
+        # 1e-160 * 1e-200 underflow to 0 and 1e-160 * 1e-160 to a subnormal
+        values = (0.0, 0.5, 2.0, 1e-160, 1e-200)
+        listed = collections.Counter()
+        for t in itertools.product(values, repeat=5):
+            faces = list(fixpoints._faces((0.0, *t)))
+            assert faces == _reference_faces((0.0, *t)), t
+            listed[tuple(label for label, _, _ in faces)] += 1
+        assert sum(listed.values()) == 3_125
+        assert len(listed) == 18  # distinct catalogs of faces
+
+
+class TestB0CatalogPin:
+    @pytest.mark.parametrize("values, tuples, digest", [
+        ((0.0, 0.5, 1.0, 2.0, 1e-160, 1e-200), 4_925,
+         "e01ec0b152d161c5002f36968a64ca38ad7e7ba4a8af8c4afbab1f53de9b00cd"),
+        ((0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 1e-160), 11_736,
+         "012231803f745639aeb4c02d9caa0216913702076040d58cd556e0766e82f65f"),
+    ], ids=["extreme-grid-1", "extreme-grid-2"])
+    def test_every_record_field_is_pinned(self, values, tuples, digest):
+        # label, point bytes, family, member bytes, residual hex, stability
+        # and note of every record at every admissible b = 0 tuple
+        h, admissible = hashlib.sha256(), 0
+        for rest in itertools.product(values, repeat=5):
+            p = ModelParams(0.0, *rest)
+            if not p.admissible:
+                continue
+            admissible += 1
+            for fp in fixed_point_set(p):
+                fields = (fp.label, None if fp.point is None else fp.point.tobytes(),
+                          fp.family, [m.tobytes() for m in fp.representatives],
+                          fp.residual.hex(), fp.stability, fp.note)
+                h.update(repr(fields).encode() + b"\n")
+        assert (admissible, h.hexdigest()) == (tuples, digest)
 
 
 class TestCompleteness:

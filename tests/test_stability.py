@@ -179,6 +179,31 @@ class TestEigenvalues:
             assert eigs.dtype == np.complex128
             assert eigs.tobytes() == lapack, J
 
+    def test_other_array_layouts_give_the_lapack_bits(self, rng):
+        # eigenvalues reads a fresh copy of J's entries; a transposed view,
+        # a Fortran-ordered copy and an integer array each give the bytes
+        # LAPACK gives on the float array (none of these matrices makes it
+        # raise); half the matrices are integer-valued, sparse and sometimes
+        # permuted triangular, so both routes run
+        routes = collections.Counter()
+        for i in range(2_000):
+            if i % 2:
+                M = rng.uniform(-2.0, 2.0, size=(4, 4))
+            else:
+                M = rng.integers(-3, 4, size=(4, 4)).astype(float)
+                M[rng.random((4, 4)) < 0.4] = 0.0
+                if rng.random() < 0.5:
+                    perm = rng.permutation(4)
+                    M = np.triu(M)[np.ix_(perm, perm)]
+            layouts = [M, M.T, np.asfortranarray(M)]
+            if i % 2 == 0:
+                layouts.append(M.astype(np.int64))
+            for J in layouts:
+                lapack = np.sort_complex(np.linalg.eig(np.asarray(J, float))[0])
+                assert eigenvalues(J).tobytes() == lapack.tobytes(), J
+            routes["lapack" if _triangular_diagonal(M) is None else "diagonal"] += 1
+        assert routes == {"diagonal": 561, "lapack": 1_439}
+
     @pytest.mark.parametrize("kind", ["three-cycle", "dense"])
     def test_a_cycle_reaches_lapack(self, kind, rng, monkeypatch):
         if kind == "three-cycle":

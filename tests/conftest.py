@@ -1,6 +1,7 @@
-"""Shared helpers: seeded random admissible rates and simplex points, and the
-catalog benchmark's rates."""
+"""Shared helpers: seeded random admissible rates and simplex points, the
+benchmark's workload module and the catalog benchmark's rates."""
 
+import functools
 import os
 import sys
 from pathlib import Path
@@ -34,15 +35,23 @@ def random_point(rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(4))
 
 
-def catalog_workload_rates():
-    """The rates of the ``catalog`` benchmark, rounds 0-2 of seeds 0-9."""
+def perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, imported with its directory
+    on ``sys.path`` only while it loads."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
-        from workloads import catalog_inputs
+        import workloads
     finally:
         sys.path.pop(0)
-    return [rates for seed in range(10) for rnd in range(3)
-            for rates, _ in catalog_inputs(seed, rnd)]
+    return workloads
+
+
+@functools.cache
+def catalog_workload_rates() -> tuple:
+    """The rates of the ``catalog`` benchmark, rounds 0-2 of seeds 0-9."""
+    catalog_inputs = perfbench_workloads().catalog_inputs
+    return tuple(rates for seed in range(10) for rnd in range(3)
+                 for rates, _ in catalog_inputs(seed, rnd))
 
 
 @pytest.fixture

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_admissible, random_point
+from conftest import perfbench_workloads, random_admissible, random_point
 from sisi import dynamics, model
 from sisi.cli import _FIGURES
+from sisi.conjugacy import verify_conjugacy
 from sisi.model import (LIMIT_TOL, _CONDITIONS, InadmissibleParams, ModelParams,
                         NegativeParameter, SimplexPoint, _step, iterate, validate_params)
 from sisi.fixpoints import DegenerateRegime, fixed_point_set, interior_quadratic
@@ -397,6 +398,22 @@ class TestDetectLimit:
         report = detect_limit(SimplexPoint(0.3, 0.2, 0.4, 0.1), p)
         assert report.converged and report.iterations == 0
         assert report.final_step == 0.0
+
+    def test_limits_benchmark_reports_are_pinned(self):
+        # every field of the LimitReports of the limits benchmark's round 0,
+        # seeds 0-2 (predicted_limit + detect_limit per request)
+        workloads = perfbench_workloads()
+        digest, requests = hashlib.sha256(), 0
+        for seed in range(3):
+            for rates, point in workloads.limit_inputs(seed, 0):
+                _, rep = workloads.limit_request(rates, point)
+                fields = (rep.converged, rep.iterations, rep.final_step.hex(), rep.snapped,
+                          rep.match, None if rep.deviation is None else rep.deviation.hex(),
+                          None if rep.limit is None else rep.limit.tobytes().hex())
+                digest.update(repr(fields).encode() + b"\n")
+                requests += 1
+        assert (requests, digest.hexdigest()) == (
+            3_600, "244399c8fcdf661f9e7310457f032735164b2b524bd4ddcecbfa0ce18cdcf8b3")
 
 
 class TestPredictedLimit:
@@ -1250,6 +1267,45 @@ class TestEquilibriumCurves:
             for got, want in zip(cur.crossings, exact):
                 assert abs(got - want) <= 1e-12 * want, (p, got, want)
             checked += 1
+
+    def test_crossings_are_the_catalogs_endemic_points(self):
+        # the catalog benchmark's round 0, seeds 0-9, b > 0
+        workloads = perfbench_workloads()
+        inputs = 0
+        for seed in range(10):
+            for rates, _ in workloads.catalog_inputs(seed, 0):
+                p = ModelParams(*rates)
+                if p.b == 0.0:
+                    continue
+                inputs += 1
+                crossings = equilibrium_curves(p).crossings
+                # the catalog lists its endemic points larger root first
+                endemic = [fp for fp in fixed_point_set(p) if fp.label != "lambda_1"][::-1]
+                assert len(endemic) == len(crossings), p
+                for fp, A in zip(endemic, crossings):
+                    _, u, _, v = fp.point.tolist()
+                    assert abs(p.k1 * u + p.k2 * v - A) / max(1.0, A) <= 1e-12, (p, fp.label)
+        assert inputs == 10_000
+
+    def test_catalog_benchmark_samples_and_sup_norms_are_pinned(self):
+        # the xs, linear and saturating bytes of the balance curves where
+        # b > 0, and the hex of verify_conjugacy on no-recovery requests,
+        # of the catalog benchmark's round 0, seeds 0-2
+        workloads = perfbench_workloads()
+        digest, counts = hashlib.sha256(), collections.Counter()
+        for seed in range(3):
+            for rates, no_recovery in workloads.catalog_inputs(seed, 0):
+                p = ModelParams(*rates)
+                if p.b > 0.0:
+                    c = equilibrium_curves(p)
+                    digest.update(c.xs.tobytes() + c.linear.tobytes() + c.saturating.tobytes())
+                    counts["curves"] += 1
+                if no_recovery:
+                    digest.update(verify_conjugacy(p, workloads.CONJUGACY_GRID).hex().encode())
+                    counts["sup-norms"] += 1
+        assert counts == {"curves": 3_000, "sup-norms": 375}
+        assert digest.hexdigest() == (
+            "724ff5f79c4e29bf646e4422729a5fce88610ec81c233fa2d44da9da7f1b592f")
 
     def test_degenerate_without_turnover(self):
         with pytest.raises(DegenerateRegime):

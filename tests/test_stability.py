@@ -312,13 +312,18 @@ class TestClassifyAtRoute:
          {"diagonal": 15_752}),
     ], ids=["catalog-workload", "extreme-grid-b0"])
     def test_same_class_and_eigenvalue_bytes_as_the_array_route(self, inputs, counts):
-        # the rows' route gives what eigenvalues(jacobian(...)) gives, at
-        # lambda_1 and everywhere else, NonConvergence included
+        # LAPACK on the Jacobian array is the oracle of both routes, the
+        # diagonal read-off and the residual-checked call: classify_at gives
+        # the class and eigenvalue bits of its sorted spectrum, and
+        # eigenvalues its bytes, at lambda_1 and everywhere else
         routes = collections.Counter()
         for p, s in _catalog_points(inputs()):
+            J = jacobian(s, p)
+            lapack = np.sort_complex(np.linalg.eig(J)[0])
             got = _class_bytes(lambda: classify_at(s, p))
-            assert got == _class_bytes(lambda: classify(eigenvalues(jacobian(s, p)).tolist())), (p, s)
-            routes["lapack" if _triangular_diagonal(jacobian(s, p)) is None else "diagonal"] += 1
+            assert got == _class_bytes(lambda: classify(lapack.tolist())), (p, s)
+            assert eigenvalues(J).tobytes() == lapack.tobytes(), (p, s)
+            routes["lapack" if _triangular_diagonal(J) is None else "diagonal"] += 1
         assert routes == counts
 
     @pytest.mark.parametrize("s", [LAMBDA1, SimplexPoint(0.5, 0.5, 0.0, 0.0)])

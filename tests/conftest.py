@@ -67,12 +67,11 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture(params=[1, 2], ids=["one-part", "two-parts"])
-def scan_parts(request, monkeypatch, no_child_left) -> SimpleNamespace:
-    """Scans forced onto one process or split over two, down to one row of
-    work, by patching the CPU count this process sees; yields the number of
-    parts and the pids of the children forked since."""
-    cpus = set(range(request.param))
+def _force_scan_parts(n, monkeypatch) -> SimpleNamespace:
+    """Force scans onto ``n`` processes, down to one row of work, by patching
+    the CPU count this process sees; return ``n`` and the list that collects
+    the pids of the children forked from now on."""
+    cpus = set(range(n))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(dynamics, "_SPLIT_MIN", 1)
     forked = []
@@ -85,4 +84,16 @@ def scan_parts(request, monkeypatch, no_child_left) -> SimpleNamespace:
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    yield SimpleNamespace(n=request.param, forked=forked)
+    return SimpleNamespace(n=n, forked=forked)
+
+
+@pytest.fixture(params=[1, 2], ids=["one-part", "two-parts"])
+def scan_parts(request, monkeypatch, no_child_left) -> SimpleNamespace:
+    """Scans forced onto one process or split over two."""
+    return _force_scan_parts(request.param, monkeypatch)
+
+
+@pytest.fixture
+def one_scan_part(monkeypatch, no_child_left) -> SimpleNamespace:
+    """Scans forced onto one process, for a test not parametrized by path."""
+    return _force_scan_parts(1, monkeypatch)

@@ -185,11 +185,9 @@ _SCAN_SHA256 = {
 }
 
 
-@criterion(9, "conjecture scans are deterministic and verdict-justified")
-def test_criterion_9_conjecture_scans(scan_parts):
-    # one scan per conjecture on each path, in one process and split over
-    # two; the pinned JSONL bytes hold every column, so both paths and
-    # every run give the same report
+def _check_conjecture_scans(parts):
+    # one scan per conjecture on the path ``parts`` forces; the pinned JSONL
+    # bytes hold every column, so every path and every run give one report
     for conj in (1, 2):
         report = conjecture_scan(conj, seed=9)
         buf = io.StringIO()
@@ -223,7 +221,19 @@ def test_criterion_9_conjecture_scans(scan_parts):
         print(f"[acceptance]   scan {conj}: {report.summary} "
               f"counterexamples={report.summary['counterexample']}")
     # one fork for the kernel and one for the writer, per conjecture
-    assert len(scan_parts.forked) == 4 * (scan_parts.n - 1)
+    assert len(parts.forked) == 4 * (parts.n - 1)
+
+
+@criterion(9, "conjecture scans are deterministic and verdict-justified")
+def test_criterion_9_conjecture_scans(one_scan_part):
+    _check_conjecture_scans(one_scan_part)
+
+
+# the one-process case is criterion 9: split over two processes, every
+# criterion-9 assertion holds and the scans hit the same pinned digests
+@pytest.mark.parametrize("scan_parts", [2], ids=["two-parts"], indirect=True)
+def test_conjecture_scans_same_bytes_in_one_and_two_parts(scan_parts):
+    _check_conjecture_scans(scan_parts)
 
 
 @criterion(10, "Jacobian matches central differences (1e-6 step, 1e-5 tol)")

@@ -199,7 +199,11 @@ def detect_limit(
 
     The step is the sup-norm of the move, taken with comparisons: every
     coordinate is finite, so it equals ``max(abs(...))`` bit for bit (an
-    all-zero move gives 0.0, never -0.0).
+    all-zero move gives 0.0, never -0.0).  The loop writes out
+    :func:`sisi.model._step`'s assignments in its left-to-right order, so
+    each operation rounds as there without the call's cost (a fifth of a
+    step); the tests' every-step oracle, which calls ``_step``, pins every
+    report field bit for bit.
     """
     entries = _catalog_entries(p)  # validates p: InadmissibleParams comes first
     max_iter = _require_budget(max_iter, tol_step=tol_step, tol_fix=tol_fix,
@@ -214,7 +218,15 @@ def detect_limit(
     near = (math.inf, None, None)  # the last proximity check's _nearest
     slack = 0.0  # no bound yet: check after the first step
     for n in range(max_iter):  # n steps done so far
-        nx, nu, ny, nv = _step(x, u, y, v, b, al, b1, b2, k1, k2)
+        # model._step's eight assignments, in its order (see the docstring)
+        A = k1 * u + k2 * v
+        infect1 = b1 * A * x
+        recover = al * u
+        infect2 = b2 * A * y
+        nx = x + b - b * x - infect1
+        nu = u - b * u + infect1 - recover
+        ny = y - b * y + recover - infect2
+        nv = v - b * v + infect2
         # each |new - old| as the difference taken in the order that makes
         # it >= 0: the bits of abs(), and +0.0 for no move
         step = nx - x if nx >= x else x - nx

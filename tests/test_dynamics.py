@@ -248,6 +248,39 @@ class TestProximitySkip:
         s0 = SimplexPoint(*(w / total for w in weights))
         assert_same_as_every_step(s0, p, max_iter=3_000, tol_fix=tol_fix)
 
+    def test_extreme_rates_equal_every_step_check(self):
+        # detect_limit writes model._step out inline; rates whose products
+        # are subnormal or underflow, and b = 0, are where a reordered
+        # operation would round differently.  On two tuples both sides
+        # raise the catalog's ArithmeticError, with the same message.
+        def outcome(detect, s0, p, pred):
+            try:
+                return report_bits(detect(s0, p, max_iter=300, predicted=pred))
+            except ArithmeticError as exc:
+                return str(exc)
+
+        def admissible(axis, every):
+            cells = (p for rates in itertools.product(axis, repeat=6)
+                     if (p := ModelParams(*rates)).admissible)
+            return list(itertools.islice(cells, 0, None, every))
+
+        grids = (admissible((0.0, 0.5, 1.0, 2.0, 1e-160, 1e-200), 40),
+                 admissible((0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 1e-160), 100))
+        assert [len(g) for g in grids] == [514, 519]
+        cases = [(SimplexPoint(*start), p) for grid in grids for p in grid
+                 for start in self.STARTS]
+        # last, a state frozen by float resolution: u, y and v never move
+        cases.append((SimplexPoint(0.7, 0.1, 0.1, 0.1),
+                       ModelParams(1e-200, 1e-200, 2.0, 0.0, 1e-160, 0.5)))
+        raised = 0
+        for s0, p in cases:
+            pred = predicted_limit(s0, p)
+            got = outcome(detect_limit, s0, p, pred)
+            assert got == outcome(detect_limit_every_step, s0, p, pred), (p, s0)
+            raised += isinstance(got, str)
+        assert raised == 6
+        assert got[:2] == (True, 238)
+
     @pytest.mark.parametrize("start", [(0.1, 0.3, 0.2, 0.4), (0.2, 0.3, 0.1, 0.4),
                                        (0.05, 0.9, 0.05, 0.0)])
     def test_distance_falling_by_one_step_per_step(self, start):

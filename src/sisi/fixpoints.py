@@ -61,8 +61,11 @@ class NoInteriorPoint(ValueError):
 
 
 def residual(point: np.ndarray, p: ModelParams) -> float:
-    """One-step fixed-point residual ||V(q) - q||_inf."""
-    return _residual(np.asarray(point, dtype=float).tolist(), p.as_tuple())
+    """One-step fixed-point residual ||V(q) - q||_inf, NaN if any
+    coordinate's difference is NaN."""
+    q = np.asarray(point, dtype=float)
+    image = np.array(_step(*q.tolist(), *p.as_tuple()))
+    return float(np.max(np.abs(image - q)))  # unlike max, np.max keeps a NaN
 
 
 def _residual(q, rates) -> float:
@@ -255,7 +258,9 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
         y = alpha*u / (b + beta2*A)
         v = beta2*A*y / b
 
-    with A the positive root of :func:`interior_quadratic`.  The residual
+    with A the lambda_11 root of :func:`_endemic_roots`: this returns the
+    catalog's lambda_11 decision, and raises the catalog's ArithmeticError
+    where the balance check refuses the root.  The residual
     bound RESIDUAL_TOL is enforced as a postcondition: an alternative form
     with x = b/(b + alpha) circulates but does not satisfy V(q) = q, and
     this check is what arbitrates between them.  Raises NoInteriorPoint
@@ -264,15 +269,12 @@ def interior_fixed_point(p: ModelParams) -> FixedPoint:
     lambda_9, on the boundary (y = v = 0).
     """
     require_admissible(p)
-    try:
-        quad = interior_quadratic(p)
-    except DegenerateRegime as exc:
-        raise NoInteriorPoint(str(exc)) from exc
-    if quad.positive_root is None or p.b == 0.0 or p.alpha == 0.0:
-        raise NoInteriorPoint("no lambda_11 for these rates: b = 0, alpha = 0 or "
-                              "the equilibrium quadratic has no positive root")
+    A = dict(_endemic_roots(p)).get("lambda_11") if p.b > 0.0 else None
+    if A is None:
+        raise NoInteriorPoint("no lambda_11 for these rates: b = 0, alpha = 0, beta2 = 0 "
+                              "or the equilibrium quadratic has no positive root")
     b, al, b1, b2, _, _ = rates = p.as_tuple()
-    q = _interior_coordinates(b, al, b1, b2, quad.positive_root)
+    q = _interior_coordinates(b, al, b1, b2, A)
     fp = _point("lambda_11", q, _residual(q, rates), p)
     if fp.residual > RESIDUAL_TOL:
         raise ArithmeticError(
@@ -287,16 +289,19 @@ def _endemic_roots(p: ModelParams):
     With alpha = 0 or beta2 = 0, Q has one positive root at most,
     A* = b/(b + alpha)*((beta1*k1 - b - alpha)/beta1), that of lambda_9 or
     lambda_10, iff beta1*k1 > b + alpha.  That sign is read off the rates,
-    since the b^2 in Q's c0 can underflow.
+    since the b^2 in Q's c0 can underflow.  Otherwise the roots are Q's,
+    through :func:`interior_quadratic` and its balance check, at every
+    scale; the catalog's residual filter then tests each point.  This is
+    the one decision whether lambda_11 exists: the catalog, the balance
+    curves' crossings, limit detection's anchors and
+    :func:`interior_fixed_point` read it.
     """
-    b, al, b1, b2, k1, _ = rates = p.as_tuple()
+    b, al, b1, b2, k1, _ = p.as_tuple()
     if al == 0.0 or b2 == 0.0:
         if b1 * k1 > b + al:
             label = "lambda_9" if al == 0.0 else "lambda_10"
             yield label, b / (b + al) * ((b1 * k1 - b - al) / b1)
         return
-    if min(rates) > 0.0 and math.prod(rates) == 0.0:
-        return  # the rates' product underflows, and Q's coefficients lose its roots
     try:
         roots = interior_quadratic(p).roots
     except DegenerateRegime:  # c2 = 0: beta1 = 0 (no positive root) or an underflow

@@ -14,6 +14,7 @@ from sisi import dynamics, fixpoints, stability, tensor
 from sisi.dynamics import equilibrium_curves
 from sisi.model import (
     RESIDUAL_TOL,
+    InadmissibleParams,
     ModelParams,
     NegativeParameter,
     SimplexPoint,
@@ -341,6 +342,14 @@ class TestFixedPointSet:
                 for member in fp.members():
                     assert residual(member, p) <= 1e-10
 
+    @pytest.mark.parametrize("i", range(4), ids=list("xuyv"))
+    def test_residual_keeps_a_nan_coordinate(self, i):
+        # a NaN y reaches only the last two differences, and Python's max,
+        # unlike np.max, drops a NaN that is not its first argument
+        point = np.array([0.5, 0.5, 0.0, 0.0])
+        point[i] = math.nan
+        assert math.isnan(residual(point, ModelParams(0.2, 0.1, 0.9, 0.3, 1.0, 0.5)))
+
     def test_pure_infected_vertex_dropped_when_not_fixed(self):
         # (0,1,0,0) is not fixed for alpha > 0: u decays (u' = 1 - alpha)
         p = ModelParams(b=0.0, alpha=0.3, beta1=0.5, beta2=0.0, k1=1.0, k2=0.5)
@@ -430,21 +439,29 @@ def _outcome(fn, rates):
         return type(exc), str(exc)
 
 
+def _interior_outcome(rates):
+    """interior_fixed_point's point bytes and residual at ``rates``, or the
+    class of what it raised."""
+    fp = _outcome(interior_fixed_point, rates)
+    return fp[0] if isinstance(fp, tuple) else (fp.point.tobytes(), fp.residual)
+
+
 # the raising tuples' sha256 where none raises
 _NONE_RAISE = hashlib.sha256(b"").hexdigest()
 
 
 class TestCatalogEntries:
-    # ROADMAP item 8's exact fallback moves the raising tuples' pins on
-    # purpose; anything else that moves them changes a decision
+    # a change in whether or where the catalog lists lambda_11 moves the
+    # raising tuples' pins; each such move changes a decision, and is
+    # declared with its counts
     @pytest.mark.parametrize("inputs, counts, raising_sha256", [
         (catalog_workload_rates, {"listed": 30_000}, _NONE_RAISE),
         (lambda: itertools.product((0.0, 0.5, 1.0, 2.0, 1e-160, 1e-200), repeat=6),
-         {"listed": 20_510, "ArithmeticError": 38, "InadmissibleParams": 26_108},
-         "bf3bbf49ec7b2754192a377d38a6f45aca0763d8a707f6c56c73da30e877f0d6"),
+         {"listed": 20_231, "ArithmeticError": 317, "InadmissibleParams": 26_108},
+         "041f88489027a15bc026b1b665a6d8b1268aa5f2dcf57592bcf9a1457f5308de"),
         (lambda: itertools.product((0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 1e-160), repeat=6),
-         {"listed": 51_382, "ArithmeticError": 498, "InadmissibleParams": 65_769},
-         "143ce6195b0f11d73f694b8684301760fe440ac1b3b791abad68254ef5846f41"),
+         {"listed": 51_200, "ArithmeticError": 680, "InadmissibleParams": 65_769},
+         "899039fcb09f9efea220be0533e46f1169d35cd97b3638d608bc66c3a316c79b"),
         (_suite_rates, {"listed": 5_400}, _NONE_RAISE),
     ], ids=["catalog-workload", "extreme-grid-1", "extreme-grid-2", "suite-draws"])
     def test_isolated_entries_are_the_catalog_points(self, inputs, counts, raising_sha256):
@@ -452,7 +469,9 @@ class TestCatalogEntries:
         # order, each isolated point with the record's coordinate bytes and
         # residual, or both raise the same error (inadmissible tuples of
         # the grids included, and the interior root's balance check, whose
-        # raising tuples are pinned by one sha256)
+        # raising tuples are pinned by one sha256); on admissible rates
+        # interior_fixed_point reads the same decision: the catalog's
+        # lambda_11, NoInteriorPoint where it lists none, or its error
         outcomes, raising = collections.Counter(), []
         for rates in inputs():
             entries = _outcome(_catalog_entries, rates)
@@ -462,12 +481,16 @@ class TestCatalogEntries:
                 outcomes[entries[0].__name__] += 1
                 if issubclass(entries[0], ArithmeticError):
                     raising.append(rates)
+                if entries[0] is not InadmissibleParams:
+                    assert _interior_outcome(rates) == entries[0], rates
                 continue
             assert [e[0] for e in entries] == [fp.label for fp in records], rates
             points = [(fp.label, fp.point.tobytes(), fp.residual)
                       for fp in records if fp.point is not None]
             assert [(label, np.array(q).tobytes(), res)
                     for label, q, res, _ in entries if q is not None] == points, rates
+            interior = [point[1:] for point in points if point[0] == "lambda_11"]
+            assert _interior_outcome(rates) == (interior[0] if interior else NoInteriorPoint), rates
             outcomes["listed"] += 1
         assert outcomes == counts
         got = hashlib.sha256("\n".join(map(repr, sorted(raising))).encode()).hexdigest()

@@ -200,7 +200,7 @@ def detect_limit(
     The step is the sup-norm of the move, taken with comparisons: every
     coordinate is finite, so it equals ``max(abs(...))`` bit for bit (an
     all-zero move gives 0.0, never -0.0).  The loop writes out
-    :func:`sisi.model._step`'s assignments in its left-to-right order, so
+    :func:`sisi.model._step`'s operations in its left-to-right order, so
     each operation rounds as there without the call's cost (a fifth of a
     step); the tests' every-step oracle, which calls ``_step``, pins every
     report field bit for bit.
@@ -218,7 +218,7 @@ def detect_limit(
     near = (math.inf, None, None)  # the last proximity check's _nearest
     slack = 0.0  # no bound yet: check after the first step
     for n in range(max_iter):  # n steps done so far
-        # model._step's eight assignments, in its order (see the docstring)
+        # model._step's arithmetic, in its order (see the docstring)
         A = k1 * u + k2 * v
         infect1 = b1 * A * x
         recover = al * u
@@ -901,10 +901,15 @@ def _json_rows(a: np.ndarray) -> list[str]:
 
 
 def _sup_dist(a, b):
-    """Row-wise largest |a_i - b_i| over two tuples of column arrays."""
-    out = np.abs(a[0] - b[0])
+    """Row-wise largest |a_i - b_i| over two tuples of column arrays
+    (NaN where any difference is NaN); each difference after the first is
+    taken into the first one's array."""
+    d = a[0] - b[0]
+    out = np.abs(d)
     for ai, bi in zip(a[1:], b[1:]):
-        np.maximum(out, np.abs(ai - bi), out=out)
+        np.subtract(ai, bi, out=d)
+        np.abs(d, out=d)
+        np.maximum(out, d, out=out)
     return out
 
 

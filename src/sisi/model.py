@@ -284,22 +284,38 @@ def force_of_infection(s: SimplexPoint, p: ModelParams) -> float:
 def _step(x, u, y, v, b, al, b1, b2, k1, k2):
     """One application of the evolution operator, elementwise.
 
-    Takes floats or equal-shape numpy arrays (one entry per row of a batch);
-    both give the same bits for the same inputs.  The three flows between
-    classes (``b1*A*x``, ``al*u``, ``b2*A*y``) are computed once, and each
-    output keeps the left-to-right operation order of its formula in the
-    module docstring.
+    Takes floats, ``Fraction``s or numpy arrays, each rate and each state
+    coordinate a scalar or an array, where the six rates share one shape and
+    dtype, the four coordinates another, and the two broadcast together: a
+    batch's equal-shape columns, (n, 1) rate columns against (1, m) starts,
+    or scalar rates against state arrays and the reverse.  All give the
+    same bits for the same inputs.  The three flows between classes
+    (``b1*A*x``, ``al*u``, ``b2*A*y``) are computed once, and each output
+    keeps the left-to-right operation order of its formula in the module
+    docstring.  Each chain's first operation makes a new value of the full
+    broadcast shape, and the augmented assignments after it write into
+    that value when it is an array and rebind when it is a scalar, so the
+    inputs are never written.
     """
-    A = k1 * u + k2 * v
-    infect1 = b1 * A * x
+    A = k1 * u
+    A += k2 * v
+    infect1 = b1 * A
+    infect1 *= x
     recover = al * u
-    infect2 = b2 * A * y
-    return (
-        x + b - b * x - infect1,
-        u - b * u + infect1 - recover,
-        y - b * y + recover - infect2,
-        v - b * v + infect2,
-    )
+    infect2 = b2 * A
+    infect2 *= y
+    nx = x + b
+    nx -= b * x
+    nx -= infect1
+    nu = u - b * u
+    nu += infect1
+    nu -= recover
+    ny = y - b * y
+    ny += recover
+    ny -= infect2
+    nv = v - b * v
+    nv += infect2
+    return nx, nu, ny, nv
 
 
 def apply_V(s: SimplexPoint, p: ModelParams) -> SimplexPoint:

@@ -1023,9 +1023,15 @@ class TestConjectureScan:
         # rows stop on each rule: the step rule (NaN target or wrong target),
         # proximity to lambda_1, and the budget at the threshold
         # beta1*k1 = b + alpha (0.3 + 0.2 == 0.5 exactly); 1203 is not a
-        # multiple of 16, so the last chunk is short
-        cells = np.vstack([SMALL_GRID.cells(), [[0.3, 0.2, 0.5, 0.0, 1.0, 0.3]]])
+        # multiple of 16, so the last chunk is short.  Two rows go subnormal:
+        # on the threshold row with beta2 = 0 and b = 0.5, v halves until it
+        # sticks at 5e-324 (b*v rounds to 0) after about 1,020 steps, and at
+        # rates of 1e-160 the products b1*A*x and b2*A*y are about 1e-321
+        cells = np.vstack([SMALL_GRID.cells(), [[0.3, 0.2, 0.5, 0.0, 1.0, 0.3],
+                                                [0.5, 0.25, 0.75, 0.0, 1.0, 0.3],
+                                                [1e-160] * 6]])
         cells = cells[[ModelParams(*c).admissible for c in cells]]
+        assert cells[-1].tolist() == [1e-160] * 6
         starts = np.array([[0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]])
         params = np.repeat(cells, 2 * len(starts), axis=0)
         states = np.tile(starts, (2 * len(cells), 1))
@@ -1046,6 +1052,32 @@ class TestConjectureScan:
             assert distance[i] == gap or math.isnan(gap) and math.isnan(distance[i]), i
             rules.add(rule)
         assert rules == {"step", "proximity", "budget"}
+        assert np.any(final[:, 3] == 5e-324)
+
+    def test_sup_dist_is_the_max_of_abs(self):
+        # NaN anywhere in a row gives NaN, as np.max does
+        values = [0.0, -0.0, 5e-324, 0.5, 1.0, math.inf, -math.inf, math.nan]
+        a, b = np.array(list(itertools.product(values, repeat=2))).T.reshape(2, 4, -1)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.max(np.abs(a - b), axis=0)
+            got = dynamics._sup_dist(tuple(a), tuple(b))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_batch_kernel_leaves_its_inputs_unchanged(self):
+        # a scan part's columns are strided views col[slice(1, None, 2)]
+        cells = SMALL_GRID.cells()
+        cells = cells[[ModelParams(*c).admissible for c in cells]]
+        starts = np.array([[0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]])
+        params = np.repeat(cells, 2 * len(starts), axis=0)
+        states = np.tile(starts, (2 * len(cells), 1))
+        targets = np.tile([[1.0, 0.0, 0.0, 0.0], [np.nan] * 4], (2 * len(cells), 1))
+        columns = [tuple(a.T) for a in (params, states, targets)]
+        before = [a.copy() for a in (params, states, targets)]
+        for part in (slice(None), slice(1, None, 2)):
+            _batch_limits(*(tuple(col[part] for col in cols) for cols in columns),
+                          max_iter=100, tol_step=1e-11, prox_tol=1e-8)
+            for a, b in zip((params, states, targets), before):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("conjecture", [1, 2])
     def test_infinite_rates_raise_no_warning(self, conjecture):

@@ -1,6 +1,7 @@
 """Evolution operator, admissibility, and simplex invariants."""
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -305,6 +306,108 @@ class TestIterate:
             for row_in, row_out in zip(states, batch):
                 direct = apply_V(SimplexPoint.from_array(row_in), p).as_array()
                 assert np.array_equal(row_out, direct)
+
+
+def _step_by_expressions(x, u, y, v, b, al, b1, b2, k1, k2):
+    """``model._step`` spelled with one expression per output: the
+    reference its augmented assignments must equal bit for bit."""
+    A = k1 * u + k2 * v
+    infect1 = b1 * A * x
+    recover = al * u
+    infect2 = b2 * A * y
+    return (
+        x + b - b * x - infect1,
+        u - b * u + infect1 - recover,
+        y - b * y + recover - infect2,
+        v - b * v + infect2,
+    )
+
+
+def assert_same_bits(got, want):
+    """Four outputs of one type each, equal to the bit: arrays in dtype,
+    shape and bytes, floats by ``float.hex``, ``Fraction``s exactly."""
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, np.ndarray):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        elif isinstance(w, float):
+            assert g.hex() == w.hex()
+        else:
+            assert g == w
+
+
+# signed zeros, the smallest subnormal, rates whose products underflow, 2.0
+SPECIAL = (0.0, -0.0, 5e-324, 1e-200, 1e-160, 2.0)
+
+
+class TestStepSpelling:
+    """``_step`` evaluates in place on the arrays it makes; every input kind
+    it is called with gives the expression form's bits."""
+
+    @staticmethod
+    def values(rng, shape):
+        """Special values, simple rates and uniform draws, mixed."""
+        pool = np.concatenate([SPECIAL, [0.1, 0.25, 0.3, 0.5, 0.75, 1.0, 1 / 3],
+                               rng.uniform(0.0, 2.0, 16)])
+        return rng.choice(pool, size=shape)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 2.0), st.floats()),
+                    min_size=10, max_size=10))
+    @example([0.25, 0.25, 0.25, 0.25, 0.5, 0.25, 0.75, 0.0, 1.0, 0.3])
+    @example([5e-324, 1e-200, 1e-160, -0.0, 0.5, 0.25, 2.0, 1e-160, 1e-160, 2.0])
+    def test_floats(self, args):
+        assert_same_bits(model._step(*args), _step_by_expressions(*args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=1000), min_size=10, max_size=10))
+    def test_fractions_exactly(self, args):
+        assert_same_bits(model._step(*args), _step_by_expressions(*args))
+
+    @pytest.mark.parametrize("states,rates", [
+        ((64,), (64,)),  # a batch's equal-shape columns
+        ((1, 8), (16, 1)),  # _inputs: rate columns against starts
+        ((), (64,)),  # float states, array rates
+        ((64,), ()),  # array states, float rates
+    ], ids=["equal-shape", "broadcast", "float-states", "float-rates"])
+    def test_arrays(self, rng, states, rates):
+        for _ in range(20):
+            args = [self.values(rng, states) for _ in range(4)]
+            args += [self.values(rng, rates) for _ in range(6)]
+            args = [a.item() if a.ndim == 0 else a for a in args]
+            assert_same_bits(model._step(*args), _step_by_expressions(*args))
+
+    def test_integer_arrays_stay_integer(self, rng):
+        args = [rng.integers(-5, 6, size=64) for _ in range(10)]
+        assert_same_bits(model._step(*args), _step_by_expressions(*args))  # int64 outputs
+
+    def test_infinite_rates(self):
+        # the rate grid test_infinite_rates_raise_no_warning scans, against
+        # starts as _inputs broadcasts them: inf*0 and inf - inf give NaN
+        axis = (0.0, 0.5, math.inf)
+        rates = np.array(list(itertools.product(axis, repeat=6))).T[:, :, None]
+        starts = np.array([[0.25] * 4, [0.7, 0.1, 0.1, 0.1], [1.0, 0.0, 0.0, 0.0]]).T[:, None, :]
+        with np.errstate(invalid="ignore"):
+            got = model._step(*starts, *rates)
+            want = _step_by_expressions(*starts, *rates)
+        assert_same_bits(got, want)
+        assert all(np.isnan(a).any() for a in got)
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["columns", "strided-views"])
+    def test_inputs_unchanged(self, rng, strided):
+        # the scan's parts step on views col[slice(1, None, 2)] of its columns
+        def column(shape):  # rows 1, 3, 5, ... or the first rows of twice as many
+            rows = slice(1, None, 2) if strided else slice(shape[0])
+            return self.values(rng, (2 * shape[0], *shape[1:]))[rows]
+
+        for states, rates in (((64,), (64,)), ((1, 8), (16, 1))):
+            cols = [column(states) for _ in range(4)] + [column(rates) for _ in range(6)]
+            before = [c.copy() for c in cols]
+            model._step(*cols)
+            for c, b in zip(cols, before):
+                assert np.array_equal(c.view(np.uint64), b.view(np.uint64))
 
 
 class TestSamples:

@@ -319,19 +319,20 @@ def _fixed(point, rates, tol):
 
 
 class _Inputs(SimpleNamespace):
-    """The rates, the start and what the rules derive from them, elementwise."""
+    """The rates, the start and what the rules derive from them, elementwise;
+    one rate set's inputs also carry its ``params`` (see :attr:`root`)."""
 
     @cached_property
     def root(self):
-        """The interior quadratic's largest root, elementwise (NaN where
-        none), computed on first use only.  One rate set of Python floats
-        with two distinct roots skips numpy's scalar wrappers, with the same
-        bits: math.sqrt is correctly rounded too, and the comparison picks
-        the root np.fmax would."""
+        """lambda_11's force of infection, computed on first use only; a
+        rule uses it only where it is positive.  With ``params`` (one rate
+        set), the catalog's decision, :func:`_endemic_roots`: its lambda_11
+        root, NaN where it lists none, or its ArithmeticError where the
+        balance check refuses the root.  On columns, the larger of Q's two
+        roots from ``_roots``, elementwise (NaN where none)."""
+        if hasattr(self, "params"):
+            return dict(_endemic_roots(self.params)).get("lambda_11", math.nan)
         c2, c1, c0, disc = _quadratic(self.b, self.al, self.b1, self.b2, self.k1, self.k2)
-        if type(disc) is float and disc > 0.0 and c2 != 0.0:
-            r, s = _roots(c2, c1, c0, math.sqrt(disc))
-            return r if r >= s or s != s else s
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.fmax(*_roots(c2, c1, c0, np.sqrt(disc)))
 
@@ -449,10 +450,14 @@ def predicted_limit(s0: SimplexPoint, p: ModelParams) -> PredictedLimit | None:
     """The target of the first rule of ``_RULES`` that holds for (s0, p), or
     None where none does; nothing is guessed.  Conjecture-backed targets carry
     ``conjectural=True``; a catalog point not fixed raises ArithmeticError.
+    A rule that reads lambda_11's root reads the catalog's decision
+    (:func:`_endemic_roots`), and raises the catalog's ArithmeticError
+    where the balance check refuses that root.
     """
     require_admissible(p)
     rates = p.as_tuple()
     a = _inputs(rates, s0.as_tuple())
+    a.params = p
     for rule in _RULES:
         if _PREMISES[rule.premise](a) and rule.when(a):
             break

@@ -293,8 +293,9 @@ def _endemic_roots(p: ModelParams):
     through :func:`interior_quadratic` and its balance check, at every
     scale; the catalog's residual filter then tests each point.  This is
     the one decision whether lambda_11 exists: the catalog, the balance
-    curves' crossings, limit detection's anchors and
-    :func:`interior_fixed_point` read it.
+    curves' crossings, limit detection's anchors,
+    :func:`interior_fixed_point` and ``predicted_limit``'s lambda_11 rule
+    read it.
     """
     b, al, b1, b2, k1, _ = p.as_tuple()
     if al == 0.0 or b2 == 0.0:

@@ -85,6 +85,14 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert " init=0,0.5,0.25,0.25 " in out and "\n0,0,0.5,0.25,0.25\n" in out
 
+    def test_no_prediction_where_the_catalog_has_no_interior_root(self, capsys):
+        # Q's coefficients underflow here, and the catalog lists no lambda_11:
+        # the prediction is none, not a target at an infinite root
+        args = ["--params", "b=1e-160", "alpha=0.5", "beta1=0.5", "beta2=1e-160",
+                "k1=2.0", "k2=1.0", "--init", "0.7,0.1,0.1,0.1"]
+        assert main(["simulate", *args]) == 0
+        assert "\n# predicted: none\n" in capsys.readouterr().out
+
     def test_missing_init_is_bad_input(self):
         assert main(["simulate", *FIG1_ARGS]) == 2
 

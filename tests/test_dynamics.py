@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import perfbench_workloads, random_admissible, random_point
-from sisi import dynamics, model
+from sisi import dynamics, fixpoints, model
 from sisi.cli import _FIGURES
 from sisi.conjugacy import verify_conjugacy
 from sisi.model import (LIMIT_TOL, _CONDITIONS, InadmissibleParams, ModelParams,
@@ -252,9 +252,12 @@ class TestProximitySkip:
         # detect_limit writes model._step out inline; rates whose products
         # are subnormal or underflow, and b = 0, are where a reordered
         # operation would round differently.  On 13 tuples (39 cases) both
-        # sides raise the catalog's ArithmeticError, with the same message.
-        def outcome(detect, s0, p, pred):
+        # sides raise the catalog's ArithmeticError, with the same message;
+        # predicted_limit, which reads the catalog's lambda_11, may raise it
+        # first.
+        def outcome(detect, s0, p):
             try:
+                pred = predicted_limit(s0, p)
                 return report_bits(detect(s0, p, max_iter=300, predicted=pred))
             except ArithmeticError as exc:
                 return str(exc)
@@ -274,9 +277,8 @@ class TestProximitySkip:
                        ModelParams(1e-200, 1e-200, 2.0, 0.0, 1e-160, 0.5)))
         raised = 0
         for s0, p in cases:
-            pred = predicted_limit(s0, p)
-            got = outcome(detect_limit, s0, p, pred)
-            assert got == outcome(detect_limit_every_step, s0, p, pred), (p, s0)
+            got = outcome(detect_limit, s0, p)
+            assert got == outcome(detect_limit_every_step, s0, p), (p, s0)
             raised += isinstance(got, str)
         assert raised == 39
         assert got[:2] == (True, 238)
@@ -448,6 +450,25 @@ class TestDetectLimit:
         assert (requests, digest.hexdigest()) == (
             3_600, "244399c8fcdf661f9e7310457f032735164b2b524bd4ddcecbfa0ce18cdcf8b3")
 
+    def test_limits_requests_solve_the_quadratic_once(self, monkeypatch):
+        # seed 2's round-0 limits requests: each solves Q once, in the
+        # catalog's memoized interior_quadratic, which predicted_limit's
+        # lambda_11 rule and detect_limit's anchors both read
+        calls = collections.Counter()
+
+        def counted(name, quadratic):
+            def count(*rates):
+                calls[name] += 1
+                return quadratic(*rates)
+            return count
+
+        for module in (fixpoints, dynamics):
+            monkeypatch.setattr(module, "_quadratic", counted(module.__name__, module._quadratic))
+        workloads = perfbench_workloads()
+        for rates, point in workloads.limit_inputs(2, 0):
+            workloads.limit_request(rates, point)
+        assert calls == {"sisi.fixpoints": 1_200}
+
 
 class TestPredictedLimit:
     def test_no_susceptibility_goes_disease_free(self):
@@ -551,22 +572,6 @@ class TestPredictedLimit:
             assert ("conjecture" in rule.source) == rule.conjectural, rule.regime
         report = verify_proposition("interior-conjecture/u0=v0=0", trials=2, seed=0)
         assert report.passed and "conjecture" not in report.description
-
-    def test_root_on_floats_has_the_array_bits(self, rng):
-        # the largest interior root of one rate set in Python floats against
-        # the same rates as array columns (np.sqrt, np.fmax): the dyadic
-        # grid (double roots, c2 = 0, disc < 0) and box draws
-        dyadic = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
-        draws = [random_admissible(rng).as_tuple() for _ in range(2000)]
-        cells = np.array([c for c in itertools.chain(itertools.product(dyadic, repeat=6), draws)
-                          if ModelParams(*c).admissible])
-        start = (0.25, 0.25, 0.25, 0.25)
-        columns = dynamics._inputs(tuple(cells.T), start).root
-        for rates, expected in zip(cells.tolist(), columns.tolist()):
-            got = dynamics._inputs(tuple(rates), start).root
-            assert type(got) in (float, np.float64), rates
-            assert (math.isnan(got) and math.isnan(expected)
-                    or float(got).hex() == expected.hex()), rates
 
     def test_lambda10_target_where_its_closed_form_underflows(self):
         # beta1*k1*(b + alpha) underflows to 0 in lambda_10's closed form;

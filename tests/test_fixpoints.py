@@ -448,34 +448,70 @@ def _interior_outcome(rates):
 
 # the raising tuples' sha256 where none raises
 _NONE_RAISE = hashlib.sha256(b"").hexdigest()
+# the starts at which predicted_limit is checked against the catalog, and
+# the regime of the rule that names lambda_11
+_STARTS = ((0.7, 0.1, 0.1, 0.1), (0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1),
+           (0.1, 0.2, 0.3, 0.4))
+_INTERIOR_RULE = next(rule.regime for rule in dynamics._RULES if rule.target == "lambda_11")
+
+
+def _predicted_outcomes(rates, entries):
+    """What predicted_limit does at each of _STARTS, for six positive
+    ``rates`` whose catalog derivation gave ``entries``: where it names
+    lambda_11, the catalog lists lambda_11 with the same point bytes; it
+    raises only the catalog's own error, and names no lambda_11 where the
+    catalog raises."""
+    p = ModelParams(*rates)
+    interior = [] if isinstance(entries, tuple) else [
+        np.array(q).tobytes() for label, q, _, _ in entries if label == "lambda_11"]
+    for start in _STARTS:
+        try:
+            pred = dynamics.predicted_limit(SimplexPoint(*start), p)
+        except ArithmeticError as exc:
+            assert (type(exc), str(exc)) == entries, (rates, start)
+            yield "raises"
+            continue
+        if pred is not None and pred.regime == _INTERIOR_RULE:
+            assert [pred.target.tobytes()] == interior, (rates, start)
+            yield "lambda_11"
+        else:
+            yield "no lambda_11"
 
 
 class TestCatalogEntries:
     # a change in whether or where the catalog lists lambda_11 moves the
     # raising tuples' pins; each such move changes a decision, and is
     # declared with its counts
-    @pytest.mark.parametrize("inputs, counts, raising_sha256", [
-        (catalog_workload_rates, {"listed": 30_000}, _NONE_RAISE),
+    @pytest.mark.parametrize("inputs, counts, raising_sha256, predicted", [
+        (catalog_workload_rates, {"listed": 30_000}, _NONE_RAISE, None),
         (lambda: itertools.product((0.0, 0.5, 1.0, 2.0, 1e-160, 1e-200), repeat=6),
          {"listed": 20_231, "ArithmeticError": 317, "InadmissibleParams": 26_108},
-         "041f88489027a15bc026b1b665a6d8b1268aa5f2dcf57592bcf9a1457f5308de"),
+         "041f88489027a15bc026b1b665a6d8b1268aa5f2dcf57592bcf9a1457f5308de",
+         {"lambda_11": 204, "raises": 152, "no lambda_11": 19_740}),
         (lambda: itertools.product((0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 1e-160), repeat=6),
          {"listed": 51_200, "ArithmeticError": 680, "InadmissibleParams": 65_769},
-         "899039fcb09f9efea220be0533e46f1169d35cd97b3638d608bc66c3a316c79b"),
-        (_suite_rates, {"listed": 5_400}, _NONE_RAISE),
+         "899039fcb09f9efea220be0533e46f1169d35cd97b3638d608bc66c3a316c79b",
+         {"lambda_11": 8_044, "raises": 1_992, "no lambda_11": 52_604}),
+        (_suite_rates, {"listed": 5_400}, _NONE_RAISE, None),
     ], ids=["catalog-workload", "extreme-grid-1", "extreme-grid-2", "suite-draws"])
-    def test_isolated_entries_are_the_catalog_points(self, inputs, counts, raising_sha256):
+    def test_isolated_entries_are_the_catalog_points(self, inputs, counts, raising_sha256,
+                                                     predicted):
         # the derivation and the records list the same labels in the same
         # order, each isolated point with the record's coordinate bytes and
         # residual, or both raise the same error (inadmissible tuples of
         # the grids included, and the interior root's balance check, whose
         # raising tuples are pinned by one sha256); on admissible rates
         # interior_fixed_point reads the same decision: the catalog's
-        # lambda_11, NoInteriorPoint where it lists none, or its error
-        outcomes, raising = collections.Counter(), []
+        # lambda_11, NoInteriorPoint where it lists none, or its error; on
+        # the grids, so does predicted_limit where all six rates are
+        # positive (the only rates whose rules read lambda_11's root), at
+        # four starts, with what it did there pinned by count
+        outcomes, raising, said = collections.Counter(), [], collections.Counter()
         for rates in inputs():
             entries = _outcome(_catalog_entries, rates)
             records = _outcome(fixed_point_set, rates)
+            if predicted and min(rates) > 0.0 and entries[0] is not InadmissibleParams:
+                said.update(_predicted_outcomes(rates, entries))
             if isinstance(entries, tuple):
                 assert records == entries, rates
                 outcomes[entries[0].__name__] += 1
@@ -495,6 +531,7 @@ class TestCatalogEntries:
         assert outcomes == counts
         got = hashlib.sha256("\n".join(map(repr, sorted(raising))).encode()).hexdigest()
         assert got == raising_sha256
+        assert said == (predicted or {})
 
 
 def _reference_faces(rates):
